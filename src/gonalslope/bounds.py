@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .grr import GENUS_FLOOR
 from .ratcalc import G, Rat, RatFunc
 from .slope import (fourgonal_blowup_parts, slope_fourgonal, slope_trigonal,
                     trigonal_blowup_parts)
@@ -79,7 +80,15 @@ class ScenarioSpec:
     t: int = 0
 
     def validate(self, enforce_genus: bool = True) -> None:
-        if self.n not in (3, 4):
+        """Raise ScenarioError on any inconsistency; enforce_genus=False skips the floor."""
+        self.validate_form()
+        problem = self.genus_problem(enforce_floor=enforce_genus)
+        if problem:
+            raise ScenarioError(problem)
+
+    def validate_form(self) -> None:
+        """The checks that do not depend on g."""
+        if self.n not in GENUS_FLOOR:
             raise ScenarioError(f"degree must be 3 or 4, got {self.n}")
         if self.case not in CASES:
             raise ScenarioError(f"unknown case {self.case!r}; choose from {CASES}")
@@ -90,24 +99,25 @@ class ScenarioSpec:
                 raise ScenarioError("factorizing needs gamma")
             if self.gamma < 1:
                 raise ScenarioError(f"gamma must be >= 1, got {self.gamma}")
-            if 6 * self.gamma + 3 >= self.g:
-                raise ScenarioError(
-                    f"factorizing needs gamma < (g-3)/6: gamma={self.gamma}, g={self.g}")
         elif self.gamma is not None:
             raise ScenarioError(f"gamma is only meaningful for factorizing, got {self.case!r}")
-        if self.case == "general_odd" and self.g % 2 == 0:
-            raise ScenarioError(f"general_odd needs odd g, got {self.g}")
-        if self.case == "general_even" and self.g % 2 == 1:
-            raise ScenarioError(f"general_even needs even g, got {self.g}")
         if self.s < 0 or self.t < 0:
             raise ScenarioError("blow-up counts must be nonnegative")
         if self.n == 3 and self.s:
             raise ScenarioError("degree 3 admits no total-ramification blow-ups")
-        if enforce_genus:
-            floor = 5 if self.n == 3 else 10
-            if self.g < floor:
-                raise ScenarioError(
-                    f"genus {self.g} below floor {floor} for degree {self.n}")
+
+    def genus_problem(self, enforce_floor: bool) -> str | None:
+        """Why g does not suit this scenario, or None; assumes validate_form passed."""
+        g = self.g
+        if self.case == "factorizing" and 6 * self.gamma + 3 >= g:
+            return f"factorizing needs gamma < (g-3)/6: gamma={self.gamma}, g={g}"
+        if self.case == "general_odd" and g % 2 == 0:
+            return f"general_odd needs odd g, got {g}"
+        if self.case == "general_even" and g % 2 == 1:
+            return f"general_even needs even g, got {g}"
+        if enforce_floor and g < GENUS_FLOOR[self.n]:
+            return f"genus {g} below floor {GENUS_FLOOR[self.n]} for degree {self.n}"
+        return None
 
 
 def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:

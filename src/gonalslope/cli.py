@@ -2,8 +2,8 @@
 
 Commands: slope, bound, sweep, verify, report.  Everything printed is an
 exact rational (or a rational function of g); decimal columns are labelled
-approximations.  Identical invocations produce byte-identical output: rows
-are assembled in sorted order regardless of how they were computed.
+approximations.  Identical invocations produce byte-identical output, with
+rows in sorted order.
 
 Exit codes: 0 success, 1 input error, 2 verification failure, 3 degenerate
 denominator (chi_f = 0).
@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 from . import verify as verify_suite
 from .bounds import (CASES, ScenarioError, ScenarioSpec, blowup_bound_report,
-                     compare, derived_slope_bound)
+                     c2_bounds_blowup, compare, derived_slope_bound)
+from .grr import GENUS_FLOOR
 from .ratcalc import RatFunc, parse_rat
 from .slope import (ZeroChiError, harris_stankova_reference, moduli_conversion,
                     slope_fourgonal_blowup, slope_trigonal_blowup)
@@ -178,27 +178,13 @@ def _require(args: argparse.Namespace, attr: str, what: str):
 
 
 def _genus_note(n: int, g: int, allow: bool) -> str | None:
-    floor = 5 if n == 3 else 10
+    floor = GENUS_FLOOR[n]
     if g >= floor:
         return None
     if not allow:
         raise ScenarioError(f"genus {g} below floor {floor} for degree {n}; "
                             "pass --allow-out-of-range to compute anyway")
     return f"out-of-range: genus {g} below floor {floor}"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("GONAL_SLOPE_THREADS")
-    if raw is None or not raw.strip():
-        return min(8, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ScenarioError(
-            f"GONAL_SLOPE_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ScenarioError(f"GONAL_SLOPE_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 # -- output writers ----------------------------------------------------------
@@ -309,8 +295,10 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
     n = _require(args, "n", "--n (or degree= in the scenario file)")
     g = _require(args, "g", "--g (or genus=)")
     case = _require(args, "case", "--case (or case=)")
-    return ScenarioSpec(n, g, _norm_case(case), args.gamma,
+    spec = ScenarioSpec(n, g, _norm_case(case), args.gamma,
                         getattr(args, "s", None) or 0, getattr(args, "t", None) or 0)
+    spec.validate_form()
+    return spec
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -374,40 +362,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     case = _norm_case(_require(args, "case", "--case (or case=)"))
     g_min = _require(args, "g_min", "--g-min (or genus-range=)")
     g_max = _require(args, "g_max", "--g-max (or genus-range=)")
-    gamma = args.gamma
     if g_min > g_max:
         raise ScenarioError(f"empty sweep range: {g_min}..{g_max}")
-    floor = 5 if n == 3 else 10
+    spec = ScenarioSpec(n, g_min, case, args.gamma, args.s or 0, args.t or 0)
+    spec.validate_form()
+    floor = GENUS_FLOOR[n]
     if g_min < floor and not args.allow_out_of_range:
         raise ScenarioError(f"sweep range starts below the genus floor {floor} "
                             f"for degree {n}; pass --allow-out-of-range")
-
-    def admits(g: int) -> bool:
-        if case == "general_odd" and g % 2 == 0:
-            return False
-        if case == "general_even" and g % 2 == 1:
-            return False
-        if case == "factorizing" and 6 * gamma + 3 >= g:
-            return False
-        return True
-
-    if case == "factorizing" and gamma is None:
-        raise ScenarioError("factorizing needs --gamma")
-    genera = [g for g in range(g_min, g_max + 1) if admits(g)]
-    if not genera:
+    specs = [replace(spec, g=g) for g in range(g_min, g_max + 1)]
+    specs = [sp for sp in specs if sp.genus_problem(enforce_floor=False) is None]
+    if not specs:
         raise ScenarioError(f"empty sweep range: no admissible g in {g_min}..{g_max}")
-    ScenarioSpec(n, genera[-1], case, gamma, args.s or 0, args.t or 0).validate(
-        enforce_genus=False)
 
-    def row(g: int):
-        spec = ScenarioSpec(n, g, case, gamma, args.s or 0, args.t or 0)
-        res = derived_slope_bound(spec, allow_out_of_range=True)
-        return [g, res.derived_bound(g), res.stated_bound(g), res.discrepancy(g),
-                harris_stankova_reference(n, g), res.strict,
-                "" if g >= floor else "out-of-range"]
-
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(genera))) as pool:
-        rows = list(pool.map(row, genera))
+    # the bound is one function of g per case: derive it once, evaluate per row
+    res = derived_slope_bound(specs[0], allow_out_of_range=True)
+    rows = [[sp.g, res.derived_bound(sp.g), res.stated_bound(sp.g), res.discrepancy(sp.g),
+             harris_stankova_reference(n, sp.g), c2_bounds_blowup(sp, 0).strict,
+             "" if sp.g >= floor else "out-of-range"] for sp in specs]
 
     columns = ["g", "derived", "stated", "discrepancy", "reference", "strict", "tag"]
     records = [dict(zip(columns, r)) for r in rows]

@@ -20,6 +20,9 @@ from .chern import BundleData, sym2, whitney_quotient
 from .chow import NumClass, SurfaceModel, canonical_class, chi_structure, intersect
 from .ratcalc import Rat
 
+#: lowest fibre genus supported, by cover degree
+GENUS_FLOOR = {3: 5, 4: 10}
+
 #: intersection of the relative conic/quadric with the pulled-back exceptional
 #: class, by blow-up kind
 _UPSTAIRS = {
@@ -156,7 +159,7 @@ class CoverData:
         if self.bundle.rank != self.n - 1:
             raise ValueError(f"degree {self.n} cover needs rank {self.n - 1}, "
                              f"got {self.bundle.rank}")
-        floor = 5 if self.n == 3 else 10
+        floor = GENUS_FLOOR[self.n]
         if self.g < floor:
             raise ValueError(f"genus {self.g} below supported floor {floor} "
                              f"for degree {self.n}")

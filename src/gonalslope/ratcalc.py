@@ -28,11 +28,10 @@ def parse_rat(text: str) -> Rat:
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(text)
-
-
-def format_rat(q: Rat) -> str:
-    return str(q)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # -- dense polynomials over Q: tuples of Fraction, lowest degree first, --
@@ -260,7 +259,8 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant equals its Fraction (and int), so it must hash like one
+        return hash(self.as_rat()) if self.is_constant() else hash((self.num, self.den))
 
     # evaluation and substitution -------------------------------------------
 

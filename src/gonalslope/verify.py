@@ -174,7 +174,7 @@ def check_blownup_c1_roundtrip():
     rng = random.Random(_SEED + 8)
     for _ in range(200):
         n = rng.choice((3, 4))
-        g = rng.randint(5 if n == 3 else 10, 60)
+        g = rng.randint(grr.GENUS_FLOOR[n], 60)
         c1sq = _rat(rng, -40, 80)
         m = chow.SurfaceModel(rng.randint(0, 3),
                               0 if n == 3 else rng.randint(0, 4), rng.randint(0, 4))
@@ -187,7 +187,7 @@ def check_exceptional_solve():
     rng = random.Random(_SEED + 9)
     for _ in range(50):
         n = rng.choice((3, 4))
-        g = rng.randint(5 if n == 3 else 10, 40)
+        g = rng.randint(grr.GENUS_FLOOR[n], 40)
         m = chow.SurfaceModel(rng.randint(0, 2),
                               0 if n == 3 else rng.randint(1, 3), rng.randint(1, 3))
         two_c1 = 2 * grr.blownup_c1(g, n, _rat(rng, 0, 60), m)
@@ -204,7 +204,7 @@ def check_base_genus_independence():
     rng = random.Random(_SEED + 10)
     for _ in range(100):
         n = rng.choice((3, 4))
-        g = rng.randint(5 if n == 3 else 10, 60)
+        g = rng.randint(grr.GENUS_FLOOR[n], 60)
         c1sq = Fraction(rng.randint(1, 60))
         c2, rsq = _rat(rng), _rat(rng)
         try:

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from gonalslope import cli
+from gonalslope.bounds import derived_slope_bound
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SLOPE_EXAMPLE = ["slope", "--n", "3", "--g", "5", "--c1sq", "14", "--c2", "28/9"]
 
 
@@ -80,6 +82,17 @@ def test_slope_rejects_inexact_literal(capsys):
     assert code == 1
 
 
+def test_slope_zero_denominator_is_a_usage_error(child_env):
+    proc = subprocess.run([sys.executable, "-m", "gonalslope", "slope", "--n", "3",
+                           "--g", "5", "--c1sq", "1/0", "--c2", "1"],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage: gonal-slope slope")
+    assert proc.stderr.count("usage:") == 1 and proc.stderr.count("error:") == 1
+    assert proc.stderr.splitlines()[-1].startswith("gonal-slope slope: error: argument --c1sq")
+
+
 def test_slope_zero_chi_exits_3(capsys):
     code, _, err = run_cli(["slope", "--n", "3", "--g", "5",
                             "--c1sq", "14", "--c2", "6"], capsys)
@@ -139,6 +152,12 @@ def test_bound_factorizing_example(capsys):
     assert rec["derived_at_g"] == "38/9"
     assert rec["discrepancy"] == "0"
     assert rec["strict"] is True
+
+
+def test_bound_checks_degree_before_genus_floor(capsys):
+    code, _, err = run_cli(["bound", "--n", "5", "--g", "3", "--case", "index-only"], capsys)
+    assert code == 1
+    assert err == "error: degree must be 3 or 4, got 5\n"
 
 
 def test_bound_rejects_blowups_with_guidance(capsys):
@@ -215,23 +234,51 @@ def test_sweep_factorizing_filters_small_genus(capsys):
     assert [int(r[0]) for r in rows] == [16, 17, 18]  # needs 6*gamma+3 < g
 
 
-def test_sweep_deterministic_across_thread_caps(capsys, monkeypatch):
-    argv = ["sweep", "--n", "4", "--case", "general-even",
-            "--g-min", "10", "--g-max", "60", "--format", "csv"]
-    outputs = []
-    for cap in ("1", "3", "16"):
-        monkeypatch.setenv("GONAL_SLOPE_THREADS", cap)
-        code, out, _ = run_cli(argv, capsys)
+GOLDEN_SWEEP = ["sweep", "--n", "4", "--case", "general-even", "--g-min", "10", "--g-max", "60"]
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_sweep_golden_output(fmt, capsys):
+    """stdout byte for byte against tests/golden/, recorded from the per-genus sweep."""
+    code, out, _ = run_cli(GOLDEN_SWEEP + ["--format", fmt], capsys)
+    assert code == 0
+    assert out == (GOLDEN / f"sweep_n4_general_even_10_60.{fmt}").read_text(encoding="utf-8")
+
+
+def test_sweep_derives_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(spec, **kwargs):
+        calls.append(spec)
+        return derived_slope_bound(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "derived_slope_bound", counted)
+    code, out, _ = run_cli(GOLDEN_SWEEP + ["--format", "csv"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 26
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,case,g_min,g_max,below,strict", [
+    ("3", "general-odd", 1, 7, [1, 3], True),
+    ("4", "nonfactorizing", 8, 11, [8, 9], False),
+])
+def test_sweep_rows_below_floor(n, case, g_min, g_max, below, strict, capsys):
+    code, out, _ = run_cli(["sweep", "--n", n, "--case", case, "--g-min", str(g_min),
+                            "--g-max", str(g_max), "--allow-out-of-range",
+                            "--format", "jsonl"], capsys)
+    assert code == 0
+    rows = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["g"] for r in rows if r["tag"] == "out-of-range"] == below
+    assert all(r["tag"] == "" for r in rows if r["g"] not in below)
+    for r in rows:
+        assert r["strict"] is strict
+        # each row agrees with a derivation at its own genus
+        code, bound, _ = run_cli(["bound", "--n", n, "--case", case, "--g", str(r["g"]),
+                                  "--allow-out-of-range", "--format", "jsonl"], capsys)
         assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_sweep_bad_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("GONAL_SLOPE_THREADS", "0")
-    code, _, err = run_cli(["sweep", "--n", "3", "--case", "index-only",
-                            "--g-min", "5", "--g-max", "6"], capsys)
-    assert code == 1 and "GONAL_SLOPE_THREADS" in err
+        rec = json.loads(bound)
+        assert (r["derived"], r["stated"], r["strict"]) == (
+            rec["derived_at_g"], rec["stated_at_g"], rec["strict"])
 
 
 # -- report -------------------------------------------------------------------

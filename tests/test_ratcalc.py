@@ -30,7 +30,8 @@ def test_parse_rat_accepts_exact_literals(text, value):
     assert parse_rat(text) == value
 
 
-@pytest.mark.parametrize("text", ["1.5", "3/ 4", "a", "1/-2", "", "2e3", "1/2/3"])
+@pytest.mark.parametrize("text", ["1.5", "3/ 4", "a", "1/-2", "", "2e3", "1/2/3",
+                                  "1/0", "-3/00"])
 def test_parse_rat_rejects_inexact_or_malformed(text):
     with pytest.raises(ValueError):
         parse_rat(text)
@@ -159,6 +160,14 @@ def test_structural_equality_and_hash():
     assert RatFunc.const(4) == 4 and RatFunc.const(4) == Fraction(8, 2)
     table = {a: "odd"}
     assert table[b] == "odd"
+
+
+@pytest.mark.parametrize("value", [3, Fraction(3, 2)])
+def test_constant_hashes_like_its_number(value):
+    const = RatFunc.const(value)
+    assert const == value and hash(const) == hash(value)
+    assert len({const, value}) == 1
+    assert {value: "x"}[const] == "x"
 
 
 @pytest.mark.parametrize("func,text", [
