@@ -20,9 +20,6 @@ from .slope import (fourgonal_blowup_parts, slope_fourgonal, slope_trigonal,
 
 CASES = ("index_only", "general_odd", "general_even", "nonfactorizing", "factorizing")
 
-#: sample values used to certify that c1^2 cancels out of a derived bound
-PROBE_C1SQ = (Fraction(1), Fraction(14), Fraction(1000))
-
 
 class ScenarioError(ValueError):
     """Inconsistent or unsupported scenario data."""
@@ -269,29 +266,34 @@ def stated_closed_form(spec: ScenarioSpec) -> RatFunc:
     return Fraction(16, 3) - 8 / G
 
 
+def _affine_parts(spec: ScenarioSpec, g, q):
+    """(K_f^2, chi_f) at c1^2 = 0 and their slopes in c1^2 for c2 = q*(c1^2 + corr)."""
+    c2_0 = q * _correction(spec)
+    if spec.n == 3:
+        return (trigonal_blowup_parts(g, 0, c2_0, spec.t),
+                trigonal_blowup_parts(g, 1, q, 0))
+    return (fourgonal_blowup_parts(g, 0, c2e_bound_fourgonal(0, c2_0), c2_0,
+                                   spec.s, spec.t),
+            fourgonal_blowup_parts(g, 1, c2e_bound_fourgonal(1, q), q, 0, 0))
+
+
 def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) -> BoundResult:
     """Substitute the case's c2 bound into the slope and simplify over Q(g).
 
-    Runs the substitution at each probe c1^2 and insists the results
-    coincide, certifying that c1^2 cancels.  Blow-up scenarios do not
-    cancel c1^2 and belong to blowup_bound_report instead.
+    Both constant terms of the substituted K_f^2 and chi_f must vanish, which
+    certifies that c1^2 cancels; the bound is the slope at c1^2 = 1.  Blow-up
+    scenarios do not cancel c1^2 and belong to blowup_bound_report instead.
     """
     spec.validate(enforce_genus=not allow_out_of_range)
     if spec.s or spec.t:
         raise ScenarioError("c1^2 does not cancel once s or t is positive; "
                             "use blowup_bound_report")
     q, strict, chain = _c2_chain(spec)
-    slopes = []
-    for c1sq in PROBE_C1SQ:
-        if spec.n == 3:
-            inv = slope_trigonal(G, c1sq, q * c1sq)
-        else:
-            c2f = q * c1sq
-            inv = slope_fourgonal(G, c1sq, c2e_bound_fourgonal(c1sq, c2f), c2f)
-        slopes.append(inv.slope)
-    if any(sl != slopes[0] for sl in slopes):
-        raise AssertionError(f"c1^2 failed to cancel for {spec}: {slopes}")
-    derived = slopes[0]
+    const, _ = _affine_parts(spec, G, q)
+    if not all(x.is_zero() for x in const):
+        raise AssertionError(f"c1^2 failed to cancel for {spec}: constant terms {const}")
+    derived = (slope_trigonal(G, 1, q) if spec.n == 3
+               else slope_fourgonal(G, 1, c2e_bound_fourgonal(1, q), q)).slope
     stated = stated_closed_form(spec)
     disc = stated - derived
     notes = []
@@ -341,48 +343,32 @@ class BlowupReport:
     chain: tuple[str, ...] = ()
 
 
-def _blowup_parts(spec: ScenarioSpec, c1sq: Rat, c2_value: Rat):
-    if spec.n == 3:
-        return trigonal_blowup_parts(spec.g, c1sq, c2_value, spec.t)
-    c2e = c2e_bound_fourgonal(c1sq, c2_value)
-    return fourgonal_blowup_parts(spec.g, c1sq, c2e, c2_value, spec.s, spec.t)
-
-
 def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
                         allow_out_of_range: bool = False) -> BlowupReport:
     """Evaluate the substituted slope over a c1^2 grid and compare with s = t = 0.
 
-    Each admissible grid point (chi_f > 0) is tagged below/equal/above the
-    blown-down baseline; the report also carries the exact c1^2 -> infinity
-    limit, which recovers that baseline.
+    K_f^2 and chi_f are affine in c1^2; each admissible grid point (chi_f > 0)
+    is tagged below/equal/above the blown-down baseline.  The report also
+    carries the exact c1^2 -> infinity limit, which recovers that baseline.
     """
     spec.validate(enforce_genus=not allow_out_of_range)
     base = derived_slope_bound(replace(spec, s=0, t=0), allow_out_of_range)
     baseline_at_g = base.derived_bound(spec.g)
     q, strict, chain = _c2_chain(spec)
+    coeff, corr = q(spec.g), _correction(spec)
+    (kf2_0, chif_0), (kf2_lead, chif_lead) = _affine_parts(spec, spec.g, coeff)
 
     rows = []
-    admissible = 0
     for c1sq in sorted({Fraction(x) for x in c1sq_grid}):
-        bound = c2_bounds_blowup(spec, c1sq)
-        kf2, chif = _blowup_parts(spec, c1sq, bound.value)
-        if chif <= 0:
-            rows.append(BlowupRow(c1sq, bound.value, kf2, chif, None, "inadmissible"))
-            continue
-        admissible += 1
-        sl = kf2 / chif
-        verdict = "below" if sl < baseline_at_g else ("equal" if sl == baseline_at_g
-                                                      else "above")
-        rows.append(BlowupRow(c1sq, bound.value, kf2, chif, sl, verdict))
-    if not admissible:
+        kf2, chif = kf2_0 + kf2_lead * c1sq, chif_0 + chif_lead * c1sq
+        sl = kf2 / chif if chif > 0 else None
+        verdict = ("inadmissible" if sl is None else "below" if sl < baseline_at_g
+                   else "equal" if sl == baseline_at_g else "above")
+        rows.append(BlowupRow(c1sq, coeff * (c1sq + corr), kf2, chif, sl, verdict))
+    slopes = [r.slope for r in rows if r.slope is not None]
+    if not slopes:
         raise ScenarioError("empty admissible grid: chi_f > 0 nowhere on it")
-    minimum = min(r.slope for r in rows if r.slope is not None)
-
-    # K_f^2 and chi_f are affine in c1^2; the limit is the leading ratio
-    p0 = _blowup_parts(spec, Fraction(0), c2_bounds_blowup(spec, 0).value)
-    p1 = _blowup_parts(spec, Fraction(1), c2_bounds_blowup(spec, 1).value)
-    kf2_lead, chif_lead = p1[0] - p0[0], p1[1] - p0[1]
     limit = kf2_lead / chif_lead
-    admissible_from = -p0[1] / chif_lead if chif_lead > 0 else None
+    admissible_from = -chif_0 / chif_lead if chif_lead > 0 else None
     return BlowupReport(spec, tuple(rows), base.derived_bound, baseline_at_g,
-                        minimum, limit, admissible_from, strict, chain)
+                        min(slopes), limit, admissible_from, strict, chain)

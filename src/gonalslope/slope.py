@@ -1,9 +1,9 @@
 """Relative invariants and slope of a fibred surface from cover data.
 
 All formulas work uniformly over exact rationals and over RatFunc, so a
-genus can be left symbolic.  K_f^2 and chi_f always come out of the same
-closed forms; the slope is their quotient, with a zero chi_f reported as
-an explicit error.
+genus can be left symbolic.  K_f^2 and chi_f are written once, in _parts;
+the degree-3 and degree-4 entry points only supply R^2.  The slope is their
+quotient, with a zero chi_f reported as an explicit error.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ class ZeroChiError(ZeroDivisionError):
     """chi_f vanished; the slope is undefined."""
 
 
-def _lift(x):
-    return x if isinstance(x, RatFunc) else Fraction(x)
+def _lift(*xs):
+    return tuple(x if isinstance(x, RatFunc) else Fraction(x) for x in xs)
 
 
 def _ratio(kf2, chif):
@@ -66,17 +66,40 @@ def moduli_conversion(inv: FibrationInvariants) -> ModuliData:
     return ModuliData(12 - inv.slope, 12 * inv.chif - inv.kf2, inv.chif)
 
 
-def slope_general(g, n: int, c1sq, c2, rsq) -> FibrationInvariants:
-    """Invariants of a degree-n cover fibration, independent of the base genus.
+def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
+    """(K_f^2, chi_f) of a degree-n cover fibration, s E' and t E'' blown down.
 
-    K_f^2 = R^2 - 4c1^2/(g+n-1) and chi_f = (g+n-2)/(2(g+n-1)) c1^2 - c2;
-    the base genus cancels, which slope_general_via_surface rechecks.
+    K_f^2 = R^2 - 4c1^2/(g+n-1) and chi_f = (g+n-2)/(2(g+n-1)) c1^2 - c2,
+    plus 3g/(2(g+n-1)) per E' and (g+n-3)/(g+n-1) per E''.
     """
-    g, c1sq, c2, rsq = _lift(g), _lift(c1sq), _lift(c2), _lift(rsq)
     d = g + n - 1
-    kf2 = rsq - 4 * c1sq / d
     chif = (g + n - 2) / (2 * d) * c1sq - c2
+    if s:
+        chif += 3 * g / (2 * d) * s
+    if t:
+        chif += (g + n - 3) / d * t
+    return rsq - 4 * c1sq / d, chif
+
+
+def _trigonal_parts(g, c1sq, c2, t=0):
+    g, c1sq, c2 = _lift(g, c1sq, c2)
+    return _parts(g, 3, c1sq, c2, 2 * c1sq - 3 * c2, t=t)
+
+
+def _fourgonal_parts(g, c1sq, c2e, c2f, s=0, t=0):
+    g, c1sq, c2e, c2f = _lift(g, c1sq, c2e, c2f)
+    return _parts(g, 4, c1sq, c2e, 2 * c1sq - 4 * c2e + c2f, s, t)
+
+
+def _invariants(kf2, chif) -> FibrationInvariants:
     return FibrationInvariants(kf2, chif, _ratio(kf2, chif))
+
+
+def slope_general(g, n: int, c1sq, c2, rsq) -> FibrationInvariants:
+    """Invariants of a degree-n cover fibration; slope_general_via_surface
+    rechecks that the base genus cancels."""
+    g, c1sq, c2, rsq = _lift(g, c1sq, c2, rsq)
+    return _invariants(*_parts(g, n, c1sq, c2, rsq))
 
 
 def slope_general_via_surface(g: int, n: int, c1sq, c2, rsq, b: int) -> FibrationInvariants:
@@ -91,16 +114,12 @@ def slope_general_via_surface(g: int, n: int, c1sq, c2, rsq, b: int) -> Fibratio
     ky = canonical_class(model)
     twist = (g - 1) * (b - 1)
     kf2 = Fraction(rsq) + 4 * intersect(c1, ky) + n * intersect(ky, ky) - 8 * twist
-    chif = chi_total_space(n, e) - twist
-    return FibrationInvariants(kf2, chif, _ratio(kf2, chif))
+    return _invariants(kf2, chi_total_space(n, e) - twist)
 
 
 def slope_trigonal(g, c1sq, c2) -> FibrationInvariants:
     """Triple-cover invariants: K_f^2 = 2g/(g+2) c1^2 - 3c2."""
-    g, c1sq, c2 = _lift(g), _lift(c1sq), _lift(c2)
-    kf2 = 2 * g / (g + 2) * c1sq - 3 * c2
-    chif = (g + 1) / (2 * (g + 2)) * c1sq - c2
-    return FibrationInvariants(kf2, chif, _ratio(kf2, chif))
+    return _invariants(*_trigonal_parts(g, c1sq, c2))
 
 
 def slope_fourgonal(g, c1sq, c2e, c2f) -> FibrationInvariants:
@@ -109,20 +128,14 @@ def slope_fourgonal(g, c1sq, c2e, c2f) -> FibrationInvariants:
     When c2(E) saturates (c1^2 + c2(F))/4 the slope also comes out of the
     rearrangement around 4; both routes are checked against each other.
     """
-    g, c1sq, c2e, c2f = _lift(g), _lift(c1sq), _lift(c2e), _lift(c2f)
-    kf2 = 2 * (g + 1) / (g + 3) * c1sq - 4 * c2e + c2f
-    chif = (g + 2) / (2 * (g + 3)) * c1sq - c2e
-    inv = FibrationInvariants(kf2, chif, _ratio(kf2, chif))
-    if c2e == (c1sq + c2f) / 4 and not _is_zero(chif):
+    inv = _invariants(*_fourgonal_parts(g, c1sq, c2e, c2f))
+    c1sq, c2e, c2f = _lift(c1sq, c2e, c2f)
+    if c2e == (c1sq + c2f) / 4:
         alt = fourgonal_rearranged(g, c1sq, c2f)
         if alt != inv.slope:
             raise AssertionError("rearranged quadruple-cover slope disagrees "
                                  f"with the direct quotient: {alt} vs {inv.slope}")
     return inv
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, RatFunc) else x == 0
 
 
 def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
@@ -133,7 +146,7 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
     direct quotient is smaller by 4*(blow-up terms)/chi_f, so only the
     direct route is used for bounds.
     """
-    g, c1sq, c2f = _lift(g), _lift(c1sq), _lift(c2f)
+    g, c1sq, c2f = _lift(g, c1sq, c2f)
     num = c2f - 2 * c1sq / (g + 3)
     den = ((g + 1) / (4 * (g + 3)) * c1sq - c2f / 4
            + 3 * g / (2 * (g + 3)) * s + (g + 1) / (g + 3) * t)
@@ -142,10 +155,7 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
 
 def trigonal_blowup_parts(g, c1sq, c2, t):
     """(K_f^2, chi_f) with t index-three fibres blown down; no quotient taken."""
-    g, c1sq, c2 = _lift(g), _lift(c1sq), _lift(c2)
-    kf2 = 2 * g / (g + 2) * c1sq - 3 * c2
-    chif = (g + 1) / (2 * (g + 2)) * c1sq - c2 + g / (g + 2) * t
-    return kf2, chif
+    return _trigonal_parts(g, c1sq, c2, t)
 
 
 def slope_trigonal_blowup(g, c1sq, c2, t) -> FibrationInvariants:
@@ -154,25 +164,19 @@ def slope_trigonal_blowup(g, c1sq, c2, t) -> FibrationInvariants:
     K_f^2 is unchanged in terms of the blown-up Chern data; chi_f gains
     g/(g+2) per blow-up.  t = 0 reduces to slope_trigonal.
     """
-    kf2, chif = trigonal_blowup_parts(g, c1sq, c2, t)
-    return FibrationInvariants(kf2, chif, _ratio(kf2, chif))
+    return _invariants(*_trigonal_parts(g, c1sq, c2, t))
 
 
 def fourgonal_blowup_parts(g, c1sq, c2e, c2f, s, t):
     """(K_f^2, chi_f) with s total-ramification and t index-three blow-ups."""
-    g, c1sq, c2e, c2f = _lift(g), _lift(c1sq), _lift(c2e), _lift(c2f)
-    kf2 = 2 * (g + 1) / (g + 3) * c1sq - 4 * c2e + c2f
-    chif = ((g + 2) / (2 * (g + 3)) * c1sq - c2e
-            + 3 * g / (2 * (g + 3)) * s + (g + 1) / (g + 3) * t)
-    return kf2, chif
+    return _fourgonal_parts(g, c1sq, c2e, c2f, s, t)
 
 
 def slope_fourgonal_blowup(g, c1sq, c2e, c2f, s, t) -> FibrationInvariants:
     """Quadruple-cover invariants on the blown-up model; chi_f gains
     3g/(2(g+3)) per E' and (g+1)/(g+3) per E''.  s = t = 0 reduces to
     slope_fourgonal."""
-    kf2, chif = fourgonal_blowup_parts(g, c1sq, c2e, c2f, s, t)
-    return FibrationInvariants(kf2, chif, _ratio(kf2, chif))
+    return _invariants(*_fourgonal_parts(g, c1sq, c2e, c2f, s, t))
 
 
 def harris_stankova_reference(n: int, g=None):

@@ -327,7 +327,7 @@ def check_moduli_identity():
 
 
 def check_derived_bounds_cancel_c1sq():
-    # the probe assertion lives inside derived_slope_bound; run every case
+    # the cancellation certificate lives inside derived_slope_bound; run every case
     for sc in ALL_SCENARIOS:
         bounds.derived_slope_bound(sc)
 

@@ -1,17 +1,22 @@
 """Case-by-case derived bounds, stated closed forms, blow-up reports."""
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from gonalslope.bounds import (ScenarioError, ScenarioSpec, SplittingType,
+from gonalslope import verify
+from gonalslope.bounds import (ScenarioError, ScenarioSpec, SplittingType, _c2_chain,
                                blowup_bound_report, c2_bounds_blowup,
                                c2e_bound_fourgonal, compare,
                                derived_slope_bound, index_bound,
                                splitting_for_scenario, stated_closed_form,
                                weak_positivity_bound)
 from gonalslope.ratcalc import G, RatFunc
+from gonalslope.slope import (fourgonal_blowup_parts, slope_fourgonal, slope_trigonal,
+                              trigonal_blowup_parts)
 
 
 def test_splitting_type_validation():
@@ -232,3 +237,71 @@ def test_stated_closed_forms_transcription():
     assert stated_closed_form(ScenarioSpec(4, 10, "general_even")) == \
         Fraction(16, 3) - 8 / G
     assert stated_closed_form(ScenarioSpec(4, 10, "index_only")) == 4
+
+
+# -- oracles: the per-probe and per-point routes the affine substitution replaced --
+
+
+@pytest.mark.parametrize("spec", verify.ALL_SCENARIOS, ids=str)
+def test_derived_bound_equals_slope_at_sample_c1sq(spec):
+    res = derived_slope_bound(spec)
+    q = _c2_chain(spec)[0]
+    for c1sq in (1, 14, 1000):
+        c2 = q * c1sq
+        if spec.n == 3:
+            inv = slope_trigonal(G, c1sq, c2)
+        else:
+            inv = slope_fourgonal(G, c1sq, c2e_bound_fourgonal(c1sq, c2), c2)
+        assert inv.slope == res.derived_bound, c1sq
+
+
+def _per_point_parts(spec, c1sq):
+    c2 = c2_bounds_blowup(spec, c1sq).value
+    if spec.n == 3:
+        return c2, trigonal_blowup_parts(spec.g, c1sq, c2, spec.t)
+    return c2, fourgonal_blowup_parts(spec.g, c1sq, c2e_bound_fourgonal(c1sq, c2), c2,
+                                      spec.s, spec.t)
+
+
+def _blowup_scenarios(count):
+    rng = random.Random(4096)
+    cases = {3: ("index_only", "general_odd", "general_even"),
+             4: ("index_only", "general_odd", "general_even", "nonfactorizing",
+                 "factorizing")}
+    while count:
+        n = rng.choice((3, 4))
+        case = rng.choice(cases[n])
+        gamma = rng.randint(1, 3) if case == "factorizing" else None
+        spec = ScenarioSpec(n, rng.randint(3, 60), case, gamma,
+                            rng.randint(1, 4) if n == 4 else 0, rng.randint(1, 4))
+        if spec.genus_problem(enforce_floor=False) is None:
+            count -= 1
+            grid = [Fraction(rng.randint(-60, 400), rng.randint(1, 9)) for _ in range(12)]
+            yield spec, grid + [Fraction(-5, 2), 0, 1]
+
+
+@pytest.mark.parametrize("spec,grid", list(_blowup_scenarios(40)), ids=lambda x: str(x)[:60])
+def test_blowup_report_matches_per_point_route(spec, grid):
+    baseline = derived_slope_bound(replace(spec, s=0, t=0), True).derived_bound(spec.g)
+    rows = []
+    for c1sq in sorted(set(grid)):
+        c2, (kf2, chif) = _per_point_parts(spec, c1sq)
+        if chif <= 0:
+            rows.append((c1sq, c2, kf2, chif, None, "inadmissible"))
+            continue
+        sl = kf2 / chif
+        rows.append((c1sq, c2, kf2, chif, sl, "below" if sl < baseline else
+                     "equal" if sl == baseline else "above"))
+    if all(r[4] is None for r in rows):
+        with pytest.raises(ScenarioError, match="admissible"):
+            blowup_bound_report(spec, grid, allow_out_of_range=True)
+        return
+    rep = blowup_bound_report(spec, grid, allow_out_of_range=True)
+    assert [(r.c1sq, r.c2_bound, r.kf2, r.chif, r.slope, r.verdict)
+            for r in rep.rows] == rows
+    assert rep.minimum == min(r[4] for r in rows if r[4] is not None)
+    _, p0 = _per_point_parts(spec, Fraction(0))
+    _, p1 = _per_point_parts(spec, Fraction(1))
+    kf2_lead, chif_lead = p1[0] - p0[0], p1[1] - p0[1]
+    assert rep.limit == kf2_lead / chif_lead
+    assert rep.admissible_from == (-p0[1] / chif_lead if chif_lead > 0 else None)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from gonalslope import cli
-from gonalslope.bounds import derived_slope_bound
+from gonalslope.bounds import ScenarioSpec, c2_bounds_blowup, derived_slope_bound
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -91,6 +91,26 @@ def test_slope_zero_denominator_is_a_usage_error(child_env):
     assert proc.stderr.startswith("usage: gonal-slope slope")
     assert proc.stderr.count("usage:") == 1 and proc.stderr.count("error:") == 1
     assert proc.stderr.splitlines()[-1].startswith("gonal-slope slope: error: argument --c1sq")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+def test_slope_beyond_float_range(fmt, child_env):
+    # c1^2 = 10^401 - 1: K_f^2, chi_f and delta_B overflow a float, the slope does not
+    proc = subprocess.run([sys.executable, "-m", "gonalslope", "slope", "--n", "3",
+                           "--g", "5", "--c1sq", "9" * 401, "--c2", "1", "--format", fmt],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for approx in ("1.428571e+401", "4.285714e+400", "3.333333", "3.714286e+401"):
+        assert approx in proc.stdout
+
+
+def test_approx_switches_to_scientific_only_beyond_float():
+    big = Fraction(10) ** 308
+    assert cli._approx(big) == f"{float(big):.6f}"
+    assert cli._approx(Fraction(-2, 3)) == "-0.666667"
+    assert cli._approx(-(Fraction(10) ** 401) + 1) == "-1.000000e+401"
+    assert cli._approx(Fraction(123456789 * 10 ** 400, 7)) == "1.763668e+407"
 
 
 def test_slope_zero_chi_exits_3(capsys):
@@ -279,6 +299,27 @@ def test_sweep_rows_below_floor(n, case, g_min, g_max, below, strict, capsys):
         rec = json.loads(bound)
         assert (r["derived"], r["stated"], r["strict"]) == (
             rec["derived_at_g"], rec["stated_at_g"], rec["strict"])
+
+
+@pytest.mark.parametrize("n,case,gamma", [
+    (3, "index_only", None), (3, "general_odd", None), (3, "general_even", None),
+    (4, "index_only", None), (4, "general_odd", None), (4, "general_even", None),
+    (4, "nonfactorizing", None), (4, "factorizing", 1), (4, "factorizing", 3),
+])
+def test_sweep_strict_matches_per_genus_c2_bound(n, case, gamma, capsys):
+    """One derivation's strictness flag holds for every admissible genus of the sweep."""
+    argv = ["sweep", "--n", str(n), "--case", case.replace("_", "-"), "--g-min", "3",
+            "--g-max", "120", "--allow-out-of-range", "--format", "jsonl"]
+    if gamma is not None:
+        argv += ["--gamma", str(gamma)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = [json.loads(ln) for ln in out.splitlines()]
+    specs = [ScenarioSpec(n, g, case, gamma) for g in range(3, 121)]
+    admissible = [sp for sp in specs if sp.genus_problem(enforce_floor=False) is None]
+    assert [r["g"] for r in rows] == [sp.g for sp in admissible]
+    for r, sp in zip(rows, admissible):
+        assert r["strict"] is c2_bounds_blowup(sp, 0).strict, sp
 
 
 # -- report -------------------------------------------------------------------
