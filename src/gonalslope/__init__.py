@@ -24,7 +24,7 @@ from .grr import (CoverData, blownup_c1, c1_decomposition, chi_total_space,
                   exceptional_coefficients, fourgonal_rsq, push_2r_bundle,
                   push_ramification, trigonal_rsq, upstairs_pairing)
 from .ratcalc import G, PoleError, Rat, RatFunc, parse_rat
-from .slope import (FibrationInvariants, ModuliData, ZeroChiError,
+from .slope import (FibrationInvariants, ModuliData, ZeroChiError, check_genus,
                     fourgonal_rearranged, harris_stankova_reference,
                     moduli_conversion, slope_fourgonal, slope_fourgonal_blowup,
                     slope_general, slope_general_via_surface, slope_trigonal,
@@ -39,8 +39,8 @@ __all__ = [
     "RatFunc", "ScenarioError", "ScenarioSpec", "SplittingType", "SurfaceModel",
     "UnsupportedRankError", "ZeroChiError", "blownup_c1", "blowup_bound_report",
     "c1_decomposition", "c2_bounds_blowup", "c2e_bound_fourgonal",
-    "canonical_class", "chern_character", "chi_structure", "chi_total_space",
-    "compare", "conics_kernel", "derived_slope_bound",
+    "canonical_class", "check_genus", "chern_character", "chi_structure",
+    "chi_total_space", "compare", "conics_kernel", "derived_slope_bound",
     "exceptional_coefficient", "exceptional_coefficients",
     "fourgonal_rearranged", "fourgonal_rsq", "harris_stankova_reference",
     "index_bound", "intersect", "moduli_conversion", "parse_rat",

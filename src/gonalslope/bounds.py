@@ -120,22 +120,17 @@ class ScenarioSpec:
 def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
     """Integral splitting type attached to the case, or None for index_only.
 
-    The nonfactorizing case only pins a floor; the integral type uses
-    alpha = ceil((g+3)/3), while the bound coefficient keeps the exact
-    rational floor.
+    The case's _split_exprs at the concrete genus.  Where the case only pins
+    a floor (nonfactorizing), the integral type rounds alpha up, while the
+    bound coefficient keeps the exact rational floor.
     """
     spec.validate(enforce_genus=False)
-    g, total = spec.g, spec.g + (2 if spec.n == 3 else 3)
     if spec.case == "index_only":
         return None
-    if spec.case == "general_odd":
-        alpha = (g + 1) // 2 if spec.n == 3 else (g + 3) // 2
-    elif spec.case == "general_even":
-        alpha = (g + 2) // 2
-    elif spec.case == "nonfactorizing":
-        alpha = math.ceil(Fraction(g + 3, 3))
-    else:  # factorizing
-        alpha = 2 * spec.gamma + 2
+    alpha, beta, is_floor = _split_exprs(spec, Fraction(spec.g))
+    total = alpha + beta
+    if is_floor:
+        alpha = math.ceil(alpha)
     st = SplittingType(alpha, total - alpha)
     if spec.n == 4 and st.alpha < 4:
         raise ScenarioError(f"degree-4 splitting needs alpha >= 4, got {st.alpha}")

@@ -11,6 +11,7 @@ denominator (chi_f = 0).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -22,9 +23,9 @@ from . import verify as verify_suite
 from .bounds import (CASES, ScenarioError, ScenarioSpec, blowup_bound_report,
                      compare, derived_slope_bound)
 from .grr import GENUS_FLOOR
-from .ratcalc import RatFunc, parse_rat
-from .slope import (ZeroChiError, harris_stankova_reference, moduli_conversion,
-                    slope_fourgonal_blowup, slope_trigonal_blowup)
+from .ratcalc import parse_rat
+from .slope import (ZeroChiError, check_genus, harris_stankova_reference,
+                    moduli_conversion, slope_fourgonal_blowup, slope_trigonal_blowup)
 
 EXIT_OK, EXIT_INPUT, EXIT_VERIFY, EXIT_DEGENERATE = 0, 1, 2, 3
 
@@ -34,9 +35,6 @@ CLI_CASES = tuple(c.replace("_", "-") for c in CASES)
 #: grid used by `report` when none is given; wide enough to cross the
 #: admissibility edge of every supported scenario
 DEFAULT_GRID = tuple(Fraction(x) for x in (1, 2, 4, 14, 100, 1000))
-
-_FILE_KEYS = ("degree", "genus", "genus-range", "case", "gamma", "s", "t",
-              "c1sq-grid", "format")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,20 +98,30 @@ def _approx(x) -> str:
             return f"{Decimal(x.numerator) / Decimal(x.denominator):.6e}"
 
 
-def _json_value(x):
-    if isinstance(x, (Fraction, RatFunc)):
-        return str(x)
-    if isinstance(x, (tuple, list)):
-        return [_json_value(v) for v in x]
-    return x
-
-
 # -- scenario files ----------------------------------------------------------
 
+#: scenario-file key -> (the options it fills, parser of its value); a key
+#: that fills several options parses to one value per option
+_FILE_KEYS = {
+    "degree": (("n",), lambda v: _parse_int("degree", v)),
+    "genus": (("g", "g_min", "g_max"), lambda v: (_parse_int("genus", v),) * 3),
+    "genus-range": (("g_min", "g_max"), _parse_range),
+    "case": (("case",), _norm_case),
+    "gamma": (("gamma",), lambda v: _parse_int("gamma", v)),
+    "s": (("s",), lambda v: _parse_int("s", v)),
+    "t": (("t",), lambda v: _parse_int("t", v)),
+    "c1sq-grid": (("c1sq_grid",), _parse_grid),
+    "format": (("format",), _parse_format),
+}
 
-def load_scenario_file(path: str) -> dict[str, str]:
-    """Read key=value lines; '#' comments and blank lines are skipped."""
-    data: dict[str, str] = {}
+
+def load_scenario_file(path: str) -> dict[str, tuple]:
+    """Read key=value lines into parsed values, one per option the key fills.
+
+    '#' comments and blank lines are skipped.  Every value must parse, even
+    where the subcommand has no use for its key.
+    """
+    data: dict[str, tuple] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -128,52 +136,27 @@ def load_scenario_file(path: str) -> dict[str, str]:
                                     f"(known: {' '.join(_FILE_KEYS)})")
             if key in data:
                 raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
+            dests, parse = _FILE_KEYS[key]
             try:
-                _VALIDATORS[key](value)
+                parsed = parse(value)
             except (ScenarioError, ValueError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from None
-            data[key] = value
+            data[key] = parsed if len(dests) > 1 else (parsed,)
     return data
 
 
-_MERGE = (
-    ("n", "degree", lambda v: _parse_int("degree", v)),
-    ("g", "genus", lambda v: _parse_int("genus", v)),
-    ("case", "case", _norm_case),
-    ("gamma", "gamma", lambda v: _parse_int("gamma", v)),
-    ("s", "s", lambda v: _parse_int("s", v)),
-    ("t", "t", lambda v: _parse_int("t", v)),
-    ("c1sq_grid", "c1sq-grid", _parse_grid),
-    ("format", "format", _parse_format),
-)
-
-# every file value must parse on load, even if the subcommand ignores the key
-_VALIDATORS = {key: conv for _, key, conv in _MERGE}
-_VALIDATORS["genus-range"] = _parse_range
-
-
-def _merge_scenario(args: argparse.Namespace, data: dict[str, str]) -> None:
+def _merge_scenario(args: argparse.Namespace, data: dict[str, tuple]) -> None:
     """Fill unset options from the file; explicit flags always win.
 
-    Keys a subcommand has no use for are left alone, so one file can drive
-    slope, bound and report runs alike.
+    Options a subcommand lacks are left alone, so one file can drive slope,
+    bound and report runs alike.  Where two keys fill one option, the later
+    key in _FILE_KEYS wins: genus-range over genus for a sweep's bounds.
     """
-    for attr, key, conv in _MERGE:
-        if hasattr(args, attr) and getattr(args, attr) is None and key in data:
-            setattr(args, attr, conv(data[key]))
-    if hasattr(args, "g_min"):
-        if "genus-range" in data:
-            lo, hi = _parse_range(data["genus-range"])
-            if args.g_min is None:
-                args.g_min = lo
-            if args.g_max is None:
-                args.g_max = hi
-        elif "genus" in data:
-            gval = _parse_int("genus", data["genus"])
-            if args.g_min is None:
-                args.g_min = gval
-            if args.g_max is None:
-                args.g_max = gval
+    unset = {dest for dest, value in vars(args).items() if value is None}
+    for key, (dests, _) in _FILE_KEYS.items():
+        for dest, value in zip(dests, data.get(key, ())):
+            if dest in unset:
+                setattr(args, dest, value)
 
 
 def _require(args: argparse.Namespace, attr: str, what: str):
@@ -184,12 +167,18 @@ def _require(args: argparse.Namespace, attr: str, what: str):
 
 
 def _genus_note(n: int, g: int, allow: bool) -> str | None:
+    """The genus gate: None from the degree's floor up.
+
+    Below the floor it refuses, or under --allow-out-of-range returns the note
+    to print, once check_genus has refused a genus below 1.
+    """
     floor = GENUS_FLOOR[n]
     if g >= floor:
         return None
     if not allow:
         raise ScenarioError(f"genus {g} below floor {floor} for degree {n}; "
                             "pass --allow-out-of-range to compute anyway")
+    check_genus(g)
     return f"out-of-range: genus {g} below floor {floor}"
 
 
@@ -216,29 +205,23 @@ def _print_table(columns: list[str], rows: list[list[str]]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
-def _csv_line(cells: list[str]) -> str:
-    for cell in cells:
-        if "," in cell:
-            raise ValueError(f"csv field contains a comma: {cell!r}")
-    return ",".join(cells)
-
-
 def _print_csv(columns: list[str], rows: list[list[str]]) -> None:
-    print(_csv_line(columns))
-    for row in rows:
-        print(_csv_line(row))
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(columns)
+    out.writerows(rows)
 
 
 def _print_jsonl(records) -> None:
     for rec in records:
-        print(json.dumps({k: _json_value(v) for k, v in rec.items()}, sort_keys=True))
+        print(json.dumps(rec, sort_keys=True, default=str))
 
 
-def _emit_rows(fmt: str, columns: list[str], rows: list[list], records) -> None:
+def _emit_rows(fmt: str, columns: list[str], rows: list[list], **fixed) -> None:
+    """One line per row; a jsonl record also carries the fixed fields."""
     if fmt == "csv":
         _print_csv(columns, [[_fmt(c) for c in row] for row in rows])
     elif fmt == "jsonl":
-        _print_jsonl(records)
+        _print_jsonl({**fixed, **dict(zip(columns, row))} for row in rows)
     else:
         _print_table(columns, [[_fmt(c) for c in row] for row in rows])
 
@@ -286,14 +269,11 @@ def cmd_slope(args: argparse.Namespace) -> int:
         _print_kv(pairs)
     else:
         columns = [k for k, _ in fields] + [f"{k}_approx" for k, _ in fields] + ["notes"]
-        row = [_fmt(v) for _, v in fields] + [_approx(v) for _, v in fields]
+        values = [v for _, v in fields] + [_approx(v) for _, v in fields]
         if fmt == "csv":
-            _print_csv(columns, [row + ["; ".join(notes)]])
+            _print_csv(columns, [[_fmt(v) for v in values] + ["; ".join(notes)]])
         else:
-            rec = {k: v for k, v in fields}
-            rec.update({f"{k}_approx": _approx(v) for k, v in fields})
-            rec["notes"] = notes
-            _print_jsonl([rec])
+            _print_jsonl([dict(zip(columns, values + [notes]))])
     return EXIT_OK
 
 
@@ -354,12 +334,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         row = [_fmt(v) for _, v in scalars] + [" | ".join(res.chain), "; ".join(notes)]
         _print_csv(columns, [row])
     else:
-        rec = {k: v for k, v in scalars}
-        rec["chain"] = list(res.chain)
-        rec["notes"] = notes
-        rec["samples"] = [{"g": gv, "derived": _fmt(dv), "stated": _fmt(sv)}
-                          for gv, dv, sv in res.samples]
-        _print_jsonl([rec])
+        samples = [{"g": gv, "derived": _fmt(dv), "stated": _fmt(sv)}
+                   for gv, dv, sv in res.samples]
+        _print_jsonl([dict(scalars, chain=res.chain, notes=notes, samples=samples)])
     return EXIT_OK
 
 
@@ -380,6 +357,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     specs = [sp for sp in specs if sp.genus_problem(enforce_floor=False) is None]
     if not specs:
         raise ScenarioError(f"empty sweep range: no admissible g in {g_min}..{g_max}")
+    check_genus(specs[0].g)  # rows ascend, so this is the least genus
 
     # the bound is one function of g per case: derive it once, evaluate per row;
     # so is strictness, as beta - alpha is 0, 1 or g - 4*gamma - 1 > 0 here
@@ -389,8 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
              "" if sp.g >= floor else "out-of-range"] for sp in specs]
 
     columns = ["g", "derived", "stated", "discrepancy", "reference", "strict", "tag"]
-    records = [dict(zip(columns, r)) for r in rows]
-    _emit_rows(args.format or "table", columns, rows, records)
+    _emit_rows(args.format or "table", columns, rows)
     return EXIT_OK
 
 
@@ -401,7 +378,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     rep = blowup_bound_report(spec, grid, allow_out_of_range=args.allow_out_of_range)
     columns = ["c1sq", "c2_bound", "kf2", "chif", "slope", "verdict"]
     rows = [[r.c1sq, r.c2_bound, r.kf2, r.chif, r.slope, r.verdict] for r in rep.rows]
-    records = [dict(zip(columns, r)) for r in rows]
     scen = f"n={spec.n} g={spec.g} case={spec.case}"
     if spec.gamma is not None:
         scen += f" gamma={spec.gamma}"
@@ -421,16 +397,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         _print_kv(pairs)
         _print_block("chain", rep.chain)
         print()
-        _print_table(columns, [[_fmt(c) for c in row] for row in rows])
-    elif fmt == "csv":
-        _print_csv(columns, [[_fmt(c) for c in row] for row in rows])
-    else:
-        meta = {"record": "meta", "scenario": scen, "baseline": rep.baseline,
-                "baseline_at_g": rep.baseline_at_g, "minimum": rep.minimum,
-                "limit": rep.limit, "admissible_from": rep.admissible_from,
-                "strict": rep.strict, "chain": list(rep.chain),
-                "notes": [oor] if oor else []}
-        _print_jsonl([meta] + [{"record": "row", **rec} for rec in records])
+    elif fmt == "jsonl":
+        _print_jsonl([{"record": "meta", "scenario": scen, "baseline": rep.baseline,
+                       "baseline_at_g": rep.baseline_at_g, "minimum": rep.minimum,
+                       "limit": rep.limit, "admissible_from": rep.admissible_from,
+                       "strict": rep.strict, "chain": rep.chain,
+                       "notes": [oor] if oor else []}])
+    _emit_rows(fmt, columns, rows, record="row")
     return EXIT_OK
 
 
@@ -446,75 +419,65 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser wiring ------------------------------------------------------------
 
 
+#: every subcommand option, declared once
+_OPTIONS = {
+    "--n": dict(type=int, help="cover degree (3 or 4)"),
+    "--g": dict(type=int, help="fibre genus"),
+    "--case": dict(choices=CLI_CASES, help="scenario case"),
+    "--gamma": dict(type=int, help="factorizing discriminant genus"),
+    "--g-min": dict(type=int, help="first genus"),
+    "--g-max": dict(type=int, help="last genus"),
+    "--c1sq": dict(type=parse_rat, metavar="RAT", help="c1(E)^2"),
+    "--c2": dict(type=parse_rat, metavar="RAT", help="c2(E) (degree 3)"),
+    "--c2e": dict(type=parse_rat, metavar="RAT", help="c2(E) (degree 4)"),
+    "--c2f": dict(type=parse_rat, metavar="RAT", help="c2(F) (degree 4)"),
+    "--s": dict(type=int, help="total-ramification blow-ups (degree 4 only)"),
+    "--t": dict(type=int, help="index-three blow-ups"),
+    "--c1sq-grid": dict(type=_parse_grid, metavar="RAT,RAT,...",
+                        help="comma-separated c1^2 grid"),
+}
+
+_ZERO_ONLY = "must stay 0 here"
+
+#: subcommand -> (help, handler, options in --help order); an option given as
+#: (flag, help) takes that help in this subcommand
+_COMMANDS = {
+    "slope": ("evaluate K_f^2, chi_f, slope and moduli data", cmd_slope,
+              ("--n", "--g", "--c1sq", "--c2", "--c2e", "--c2f", "--s", "--t")),
+    "bound": ("derive the case's slope bound and compare with the stated closed form",
+              cmd_bound,
+              ("--n", "--g", "--case", "--gamma", ("--s", _ZERO_ONLY), ("--t", _ZERO_ONLY))),
+    "sweep": ("tabulate derived vs stated bounds over a genus range", cmd_sweep,
+              ("--n", "--case", "--gamma", "--g-min", "--g-max",
+               ("--s", _ZERO_ONLY), ("--t", _ZERO_ONLY))),
+    "report": ("blow-up report: substituted slope over a c1^2 grid against the s=t=0 bound",
+               cmd_report,
+               ("--n", "--g", "--case", "--gamma", "--s", "--t", "--c1sq-grid")),
+    "verify": ("run the full identity suite over every module", cmd_verify, ()),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gonal-slope",
                      description="Exact slope lower bounds for trigonal and "
                                  "fourgonal fibred surfaces.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name: str, help_: str, handler, fmt: bool = True):
+    for name, (help_, handler, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_, description=help_)
         sp.set_defaults(func=handler, _sp=sp)
         sp.add_argument("--scenario", metavar="FILE",
                         help="key=value scenario file; explicit flags win")
-        if fmt:
-            sp.add_argument("--format", choices=FORMATS, default=None,
+        if options:  # verify takes no options and prints no table
+            sp.add_argument("--format", choices=FORMATS,
                             help="output format (default: table)")
             sp.add_argument("--allow-out-of-range", action="store_true",
                             help="compute below the genus floor, tagging the output")
-        return sp
-
-    sp = add("slope", "evaluate K_f^2, chi_f, slope and moduli data", cmd_slope)
-    sp.add_argument("--n", type=int, default=None, help="cover degree (3 or 4)")
-    sp.add_argument("--g", type=int, default=None, help="fibre genus")
-    sp.add_argument("--c1sq", type=parse_rat, default=None, metavar="RAT",
-                    help="c1(E)^2")
-    sp.add_argument("--c2", type=parse_rat, default=None, metavar="RAT",
-                    help="c2(E) (degree 3)")
-    sp.add_argument("--c2e", type=parse_rat, default=None, metavar="RAT",
-                    help="c2(E) (degree 4)")
-    sp.add_argument("--c2f", type=parse_rat, default=None, metavar="RAT",
-                    help="c2(F) (degree 4)")
-    sp.add_argument("--s", type=int, default=None,
-                    help="total-ramification blow-ups (degree 4 only)")
-    sp.add_argument("--t", type=int, default=None, help="index-three blow-ups")
-
-    sp = add("bound", "derive the case's slope bound and compare with the "
-                      "stated closed form", cmd_bound)
-    sp.add_argument("--n", type=int, default=None, help="cover degree (3 or 4)")
-    sp.add_argument("--g", type=int, default=None, help="fibre genus")
-    sp.add_argument("--case", choices=CLI_CASES, default=None, help="scenario case")
-    sp.add_argument("--gamma", type=int, default=None,
-                    help="factorizing discriminant genus")
-    sp.add_argument("--s", type=int, default=None, help="must stay 0 here")
-    sp.add_argument("--t", type=int, default=None, help="must stay 0 here")
-
-    sp = add("sweep", "tabulate derived vs stated bounds over a genus range",
-             cmd_sweep)
-    sp.add_argument("--n", type=int, default=None, help="cover degree (3 or 4)")
-    sp.add_argument("--case", choices=CLI_CASES, default=None, help="scenario case")
-    sp.add_argument("--gamma", type=int, default=None,
-                    help="factorizing discriminant genus")
-    sp.add_argument("--g-min", type=int, default=None, help="first genus")
-    sp.add_argument("--g-max", type=int, default=None, help="last genus")
-    sp.add_argument("--s", type=int, default=None, help="must stay 0 here")
-    sp.add_argument("--t", type=int, default=None, help="must stay 0 here")
-
-    sp = add("report", "blow-up report: substituted slope over a c1^2 grid "
-                       "against the s=t=0 bound", cmd_report)
-    sp.add_argument("--n", type=int, default=None, help="cover degree (3 or 4)")
-    sp.add_argument("--g", type=int, default=None, help="fibre genus")
-    sp.add_argument("--case", choices=CLI_CASES, default=None, help="scenario case")
-    sp.add_argument("--gamma", type=int, default=None,
-                    help="factorizing discriminant genus")
-    sp.add_argument("--s", type=int, default=None,
-                    help="total-ramification blow-ups (degree 4 only)")
-    sp.add_argument("--t", type=int, default=None, help="index-three blow-ups")
-    sp.add_argument("--c1sq-grid", dest="c1sq_grid", type=_parse_grid, default=None,
-                    metavar="RAT,RAT,...", help="comma-separated c1^2 grid")
-
-    add("verify", "run the full identity suite over every module", cmd_verify,
-        fmt=False)
+        for option in options:
+            if isinstance(option, tuple):
+                flag, own_help = option
+                sp.add_argument(flag, **dict(_OPTIONS[flag], help=own_help))
+            else:
+                sp.add_argument(option, **_OPTIONS[option])
     return parser
 
 

@@ -123,24 +123,19 @@ def exceptional_coefficients() -> tuple[Rat, Rat, Rat]:
 def blownup_c1(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass:
     """c1 of the reduced bundle on the blown-up model, self-intersecting to c1sq.
 
-    Exceptional coefficients come from exceptional_coefficient(); the F
-    coefficient absorbs them so that the self-intersection stays c1sq.
+    Exceptional coefficients a come from exceptional_coefficient(); each
+    exceptional class has self-intersection -1, so the F coefficient absorbs
+    a^2 per blow-up to keep the self-intersection at c1sq.
     """
-    c1sq = Fraction(c1sq)
-    if n == 3:
-        if model.s:
-            raise ValueError("degree 3 admits no total-ramification blow-ups")
-        d = g + 2
-        a2 = exceptional_coefficient(3, "index3")
-        fcoef = Fraction(c1sq + 4 * model.t, 2 * d)
-        return NumClass(model, d, fcoef, (), (a2,) * model.t)
-    if n == 4:
-        d = g + 3
-        a1 = exceptional_coefficient(4, "total_ram")
-        a2 = exceptional_coefficient(4, "index3")
-        fcoef = Fraction(c1sq + 9 * model.s + 4 * model.t, 2 * d)
-        return NumClass(model, d, fcoef, (a1,) * model.s, (a2,) * model.t)
-    raise ValueError(f"degree must be 3 or 4, got {n}")
+    if n not in GENUS_FLOOR:
+        raise ValueError(f"degree must be 3 or 4, got {n}")
+    if n == 3 and model.s:
+        raise ValueError("degree 3 admits no total-ramification blow-ups")
+    d = g + n - 1
+    a1 = exceptional_coefficient(n, "total_ram") if model.s else 0
+    a2 = exceptional_coefficient(n, "index3")
+    fcoef = Fraction(Fraction(c1sq) + a1 * a1 * model.s + a2 * a2 * model.t, 2 * d)
+    return NumClass(model, d, fcoef, (a1,) * model.s, (a2,) * model.t)
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,11 @@ def harris_stankova_reference(n: int, g=None):
     prof = 6 - Fraction(2, n - 1) - 2 * n / G
     if g is None:
         return prof
+    check_genus(g)
+    return prof(g)
+
+
+def check_genus(g) -> None:
+    """Raise ValueError unless the fibre genus g is positive."""
     if Fraction(g) <= 0:
         raise ValueError(f"genus must be positive, got {g}")
-    return prof(g)

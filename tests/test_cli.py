@@ -1,7 +1,9 @@
 """Command-line surface: flags, scenario files, formats, exit codes, determinism."""
 from __future__ import annotations
 
+import csv
 import importlib.metadata
+import io
 import json
 import shutil
 import subprocess
@@ -17,6 +19,25 @@ from gonalslope.bounds import ScenarioSpec, c2_bounds_blowup, derived_slope_boun
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SLOPE_EXAMPLE = ["slope", "--n", "3", "--g", "5", "--c1sq", "14", "--c2", "28/9"]
+
+#: stdout of each run in every format is recorded in tests/golden/<name>.<format>
+GOLDEN_RUNS = {
+    "slope_n3_g6_t1": ["slope", "--n", "3", "--g", "6", "--c1sq", "14", "--c2", "59/10",
+                       "--t", "1"],
+    "slope_n4_g11_s1_t2": ["slope", "--n", "4", "--g", "11", "--c1sq", "20", "--c2e", "9",
+                           "--c2f", "6", "--s", "1", "--t", "2"],
+    "bound_n4_general_odd_11": ["bound", "--n", "4", "--g", "11", "--case", "general-odd"],
+    "bound_n4_factorizing_2_20": ["bound", "--n", "4", "--g", "20", "--case", "factorizing",
+                                  "--gamma", "2"],
+    "report_n3_general_odd_5_t1": ["report", "--n", "3", "--g", "5", "--case",
+                                   "general-odd", "--t", "1"],
+    # a value that starts with '-' and is no plain integer needs the '=' form
+    "report_n4_general_even_12_s1_t1_grid": ["report", "--n", "4", "--g", "12", "--case",
+                                             "general-even", "--s", "1", "--t", "1",
+                                             "--c1sq-grid=-1/2,14"],
+    "sweep_n4_general_even_10_60": ["sweep", "--n", "4", "--case", "general-even",
+                                    "--g-min", "10", "--g-max", "60"],
+}
 
 
 def run_cli(argv, capsys):
@@ -139,6 +160,29 @@ def test_slope_warning_note_on_absurd_slope(capsys):
     assert "outside (0, 12]" in out
 
 
+def test_slope_csv_quotes_note_with_comma(capsys):
+    code, out, err = run_cli(["slope", "--n", "3", "--g", "5", "--c1sq", "14",
+                              "--c2", "59/10", "--format", "csv"], capsys)
+    assert code == 0, err
+    header, row = csv.reader(io.StringIO(out))
+    assert dict(zip(header, row))["notes"] == "slope 23 outside (0, 12]"
+    assert out.splitlines()[1].endswith(',"slope 23 outside (0, 12]"')
+
+
+@pytest.mark.parametrize("argv,g", [
+    (["slope", "--n", "3", "--g", "-3", "--c1sq", "14", "--c2", "1"], -3),
+    (["slope", "--n", "3", "--g", "-2", "--c1sq", "14", "--c2", "1"], -2),
+    (["bound", "--n", "3", "--g", "0", "--case", "general-even"], 0),
+    (["sweep", "--n", "3", "--case", "general-even", "--g-min", "0", "--g-max", "12"], 0),
+    (["report", "--n", "3", "--g", "0", "--case", "index-only", "--t", "1"], 0),
+    (["report", "--n", "4", "--g", "-3", "--case", "general-odd"], -3),
+], ids=["slope", "slope-pole", "bound", "sweep", "report", "report-pole"])
+def test_genus_below_one_exits_1(argv, g, capsys):
+    code, out, err = run_cli(argv + ["--allow-out-of-range"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: genus must be positive, got {g}\n"
+
+
 # -- bound --------------------------------------------------------------------
 
 
@@ -254,17 +298,6 @@ def test_sweep_factorizing_filters_small_genus(capsys):
     assert [int(r[0]) for r in rows] == [16, 17, 18]  # needs 6*gamma+3 < g
 
 
-GOLDEN_SWEEP = ["sweep", "--n", "4", "--case", "general-even", "--g-min", "10", "--g-max", "60"]
-
-
-@pytest.mark.parametrize("fmt", cli.FORMATS)
-def test_sweep_golden_output(fmt, capsys):
-    """stdout byte for byte against tests/golden/, recorded from the per-genus sweep."""
-    code, out, _ = run_cli(GOLDEN_SWEEP + ["--format", fmt], capsys)
-    assert code == 0
-    assert out == (GOLDEN / f"sweep_n4_general_even_10_60.{fmt}").read_text(encoding="utf-8")
-
-
 def test_sweep_derives_once(capsys, monkeypatch):
     calls = []
 
@@ -273,7 +306,8 @@ def test_sweep_derives_once(capsys, monkeypatch):
         return derived_slope_bound(spec, **kwargs)
 
     monkeypatch.setattr(cli, "derived_slope_bound", counted)
-    code, out, _ = run_cli(GOLDEN_SWEEP + ["--format", "csv"], capsys)
+    code, out, _ = run_cli(GOLDEN_RUNS["sweep_n4_general_even_10_60"] + ["--format", "csv"],
+                           capsys)
     assert code == 0 and len(out.splitlines()) == 1 + 26
     assert len(calls) == 1
 
@@ -398,6 +432,17 @@ def test_scenario_file_genus_range_sweep(tmp_path, capsys):
     assert [int(r.split(",")[0]) for r in rows] == [10, 11, 12, 13, 14]
 
 
+@pytest.mark.parametrize("content", ["genus=7\ngenus-range=10..12\n",
+                                     "genus-range=10..12\ngenus=7\n"],
+                         ids=["genus-first", "range-first"])
+def test_scenario_file_genus_range_beats_genus_in_sweep(content, tmp_path, capsys):
+    sc = tmp_path / "sc.txt"
+    sc.write_text("degree=4\ncase=nonfactorizing\n" + content)
+    code, out, _ = run_cli(["sweep", "--scenario", str(sc), "--format", "csv"], capsys)
+    assert code == 0
+    assert [int(r.split(",")[0]) for r in out.strip().splitlines()[1:]] == [10, 11, 12]
+
+
 def test_scenario_file_single_genus_sweep(tmp_path, capsys):
     sc = tmp_path / "sc.txt"
     sc.write_text("degree=3\ncase=index-only\ngenus=7\n")
@@ -439,6 +484,41 @@ def test_scenario_file_rejects_bad_content(tmp_path, capsys, content, fragment):
 def test_scenario_file_missing(capsys):
     code, _, err = run_cli(["bound", "--scenario", "/nonexistent/sc.txt"], capsys)
     assert code == 1
+
+
+def test_scenario_file_golden_output(capsys):
+    code, out, _ = run_cli(["report", "--scenario", str(GOLDEN / "scenario_report.ini")],
+                           capsys)
+    assert code == 0
+    assert out == (GOLDEN / "scenario_report.csv").read_text(encoding="utf-8")
+
+
+# -- golden outputs -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_golden_output(name, fmt, capsys):
+    """stdout byte for byte against tests/golden/<name>.<fmt>."""
+    code, out, _ = run_cli(GOLDEN_RUNS[name] + ["--format", fmt], capsys)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["", "slope", "bound", "sweep", "report", "verify"],
+                         ids=lambda command: command or "gonal-slope")
+def test_help_golden_output(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, _ = run_cli([command, "--help"] if command else ["--help"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / f"help_{command or 'gonal-slope'}.txt").read_text(encoding="utf-8")
+
+
+def test_negative_fraction_value_needs_equals_form(capsys):
+    argv = GOLDEN_RUNS["report_n4_general_even_12_s1_t1_grid"][:-1]
+    code, out, err = run_cli(argv + ["--c1sq-grid", "-1/2,14"], capsys)
+    assert (code, out) == (1, "")
+    assert err.endswith("error: argument --c1sq-grid: expected one argument\n")
 
 
 # -- cross-command plumbing ----------------------------------------------------
