@@ -19,8 +19,8 @@ from .chern import (BundleData, ChernCharacter, UnsupportedRankError,
                     whitney_quotient)
 from .chow import (ModelMismatchError, NumClass, SurfaceModel, canonical_class,
                    chi_structure, intersect, self_intersection)
-from .grr import (CoverData, blownup_c1, c1_decomposition, chi_total_space,
-                  conics_kernel, exceptional_coefficient,
+from .grr import (blownup_c1, blowup_correction, c1_decomposition,
+                  chi_total_space, conics_kernel, exceptional_coefficient,
                   exceptional_coefficients, fourgonal_rsq, push_2r_bundle,
                   push_ramification, trigonal_rsq, upstairs_pairing)
 from .ratcalc import G, PoleError, Rat, RatFunc, parse_rat
@@ -34,10 +34,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlowupReport", "BlowupRow", "BoundResult", "BundleData", "C2Bound",
-    "ChernCharacter", "CoverData", "FibrationInvariants", "G",
-    "ModelMismatchError", "ModuliData", "NumClass", "PoleError", "Rat",
-    "RatFunc", "ScenarioError", "ScenarioSpec", "SplittingType", "SurfaceModel",
-    "UnsupportedRankError", "ZeroChiError", "blownup_c1", "blowup_bound_report",
+    "ChernCharacter", "FibrationInvariants", "G", "ModelMismatchError",
+    "ModuliData", "NumClass", "PoleError", "Rat", "RatFunc", "ScenarioError",
+    "ScenarioSpec", "SplittingType", "SurfaceModel", "UnsupportedRankError",
+    "ZeroChiError", "blownup_c1", "blowup_bound_report", "blowup_correction",
     "c1_decomposition", "c2_bounds_blowup", "c2e_bound_fourgonal",
     "canonical_class", "check_genus", "chern_character", "chi_structure",
     "chi_total_space", "compare", "conics_kernel", "derived_slope_bound",

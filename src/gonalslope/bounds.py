@@ -1,11 +1,13 @@
 """Slope lower bounds per scenario: derivation, closed forms, comparison.
 
 A scenario fixes the cover degree, fibre genus, a structural case tag and
-optional blow-up counts.  Each case carries a lower bound on the relevant
-second Chern class; substituting that bound into the slope formulas gives
-the derived bound as an exact rational function of g.  The stated closed
-forms are kept separately and never reused in the derivation, so their
-difference is an honest discrepancy report.
+optional blow-up counts.  Each case is a splitting type alpha <= beta with
+alpha + beta = g+n-1, stated once in the table _MARONI by its Maroni
+invariant m = beta - alpha.  The splitting gives a lower bound on the
+relevant second Chern class; substituting that bound into the slope formulas
+gives the derived bound as an exact rational function of g.  The stated
+closed forms are kept separately and never reused in the derivation, so
+their difference is an honest discrepancy report.
 """
 from __future__ import annotations
 
@@ -13,12 +15,23 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .grr import GENUS_FLOOR
+from .grr import GENUS_FLOOR, blowup_correction
 from .ratcalc import G, Rat, RatFunc
 from .slope import (fourgonal_blowup_parts, slope_fourgonal, slope_trigonal,
                     trigonal_blowup_parts)
 
-CASES = ("index_only", "general_odd", "general_even", "nonfactorizing", "factorizing")
+#: case -> degree -> (m = beta - alpha as a function of (g, gamma), is_floor),
+#: or None for the degree-3 index route, which uses no splitting.  A case
+#: applies to the degrees it lists; m is exact at integer or symbolic g.
+_MARONI = {
+    "index_only": {3: None,
+                   4: (lambda g, gamma: g - 5, True)},  # only alpha >= 4 is known
+    "general_odd": {3: (lambda g, gamma: 1, False), 4: (lambda g, gamma: 0, False)},
+    "general_even": {3: (lambda g, gamma: 0, False), 4: (lambda g, gamma: 1, False)},
+    "nonfactorizing": {4: (lambda g, gamma: (g + 3) / Fraction(3), True)},
+    "factorizing": {4: (lambda g, gamma: g - 1 - 4 * gamma, False)},
+}
+CASES = tuple(_MARONI)
 
 
 class ScenarioError(ValueError):
@@ -89,8 +102,9 @@ class ScenarioSpec:
             raise ScenarioError(f"degree must be 3 or 4, got {self.n}")
         if self.case not in CASES:
             raise ScenarioError(f"unknown case {self.case!r}; choose from {CASES}")
-        if self.case in ("nonfactorizing", "factorizing") and self.n != 4:
-            raise ScenarioError(f"case {self.case!r} applies to degree 4 only")
+        if self.n not in _MARONI[self.case]:
+            degrees = " and ".join(map(str, _MARONI[self.case]))
+            raise ScenarioError(f"case {self.case!r} applies to degree {degrees} only")
         if self.case == "factorizing":
             if self.gamma is None:
                 raise ScenarioError("factorizing needs gamma")
@@ -108,10 +122,10 @@ class ScenarioSpec:
         g = self.g
         if self.case == "factorizing" and 6 * self.gamma + 3 >= g:
             return f"factorizing needs gamma < (g-3)/6: gamma={self.gamma}, g={g}"
-        if self.case == "general_odd" and g % 2 == 0:
-            return f"general_odd needs odd g, got {g}"
-        if self.case == "general_even" and g % 2 == 1:
-            return f"general_even needs even g, got {g}"
+        split = _split_exprs(self, g)
+        if split and not split[2] and (split[0] - split[1]) % 2:
+            # alpha = (d - m)/2 is integral only at the other parity of g
+            return f"{self.case} needs {'even' if g % 2 else 'odd'} g, got {g}"
         if enforce_floor and g < GENUS_FLOOR[self.n]:
             return f"genus {g} below floor {GENUS_FLOOR[self.n]} for degree {self.n}"
         return None
@@ -127,37 +141,27 @@ def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
     spec.validate(enforce_genus=False)
     if spec.case == "index_only":
         return None
-    alpha, beta, is_floor = _split_exprs(spec, Fraction(spec.g))
-    total = alpha + beta
+    d, m, is_floor = _split_exprs(spec, Fraction(spec.g))
+    alpha = (d - m) / 2
     if is_floor:
         alpha = math.ceil(alpha)
-    st = SplittingType(alpha, total - alpha)
+    st = SplittingType(alpha, d - alpha)
     if spec.n == 4 and st.alpha < 4:
         raise ScenarioError(f"degree-4 splitting needs alpha >= 4, got {st.alpha}")
     return st
 
 
 def _split_exprs(spec: ScenarioSpec, g):
-    """(alpha, beta, is_floor) in terms of g; None for the trigonal index case.
+    """(d, m, is_floor) at genus g; None for the trigonal index case.
 
-    g may be symbolic, so floors stay exact rationals here.
+    d = g+n-1 = alpha + beta is the fibre degree and m = beta - alpha, so
+    alpha = (d - m)/2.  g may be symbolic, so floors stay exact rationals.
     """
-    if spec.case == "index_only":
-        if spec.n == 3:
-            return None
-        return 4 + 0 * g, g - 1, True  # only alpha >= 4 is known
-    if spec.case == "general_odd":
-        if spec.n == 3:
-            return (g + 1) / 2, (g + 3) / 2, False
-        return (g + 3) / 2, (g + 3) / 2, False
-    if spec.case == "general_even":
-        if spec.n == 3:
-            return (g + 2) / 2, (g + 2) / 2, False
-        return (g + 2) / 2, (g + 4) / 2, False
-    if spec.case == "nonfactorizing":
-        return (g + 3) / 3, 2 * (g + 3) / 3, True
-    # factorizing
-    return Fraction(2 * spec.gamma + 2) + 0 * g, g + 1 - 2 * spec.gamma, False
+    entry = _MARONI[spec.case][spec.n]
+    if entry is None:
+        return None
+    maroni, is_floor = entry
+    return g + (spec.n - 1), maroni(g, spec.gamma), is_floor
 
 
 def _c2_chain(spec: ScenarioSpec):
@@ -169,27 +173,26 @@ def _c2_chain(spec: ScenarioSpec):
     """
     target = "c2(E)" if spec.n == 3 else "c2(F)"
     corr = _correction(spec)
-    if spec.n == 3 and spec.case == "index_only":
+    split = _split_exprs(spec, G)
+    if split is None:
         # R^2 <= (4/3) c1^2 with R^2 = 2 c1^2 - 3 c2 forces the coefficient
         q = (2 - Fraction(4, 3)) / 3 + 0 * G
         return q, False, ("R^2 <= 4/3 * c1^2 with R^2 = 2*c1^2 - 3*c2(E)",
                           f"{target} >= [{q}] * c1^2")
-    alpha, beta, is_floor = _split_exprs(spec, G)
-    q = alpha / (2 * (alpha + beta))
+    d, m, is_floor = split
+    alpha = (d - m) / 2
+    q = alpha / (2 * d)
+    strict = not is_floor and _split_exprs(spec, spec.g)[1] > 0
     if is_floor:
-        strict = False
-        origin = f"splitting floor alpha >= {alpha} out of alpha + beta = {alpha + beta}"
+        origin = f"splitting floor alpha >= {alpha} out of alpha + beta = {d}"
     else:
-        gap = (beta - alpha)(spec.g)
-        strict = gap > 0
-        origin = f"splitting alpha = {alpha} and beta = {beta}"
+        origin = f"splitting alpha = {alpha} and beta = {alpha + m}"
     rel = ">" if strict else ">="
-    if corr == 0:
-        inside = "c1^2"
-    elif spec.n == 3:
-        inside = "c1^2 + 4t"
-    else:
-        inside = "c1^2 + 9s + 4t"
+    inside = "c1^2"
+    if corr:
+        if spec.n == 4:
+            inside += f" + {blowup_correction(4, 1, 0)}s"
+        inside += f" + {blowup_correction(spec.n, 0, 1)}t"
     lines = [origin, f"{target} {rel} [{q}] * ({inside})"]
     if spec.n == 4:
         lines.append("c2(E) >= (c1^2 + c2(F))/4")
@@ -198,10 +201,9 @@ def _c2_chain(spec: ScenarioSpec):
 
 def _correction(spec: ScenarioSpec) -> Rat:
     """Blow-up correction added to c1^2 inside the c2 bound."""
-    if spec.n == 3:
-        # the index route keeps its bare c1^2; splitting routes gain 4 per E''
-        return Fraction(0) if spec.case == "index_only" else Fraction(4 * spec.t)
-    return Fraction(9 * spec.s + 4 * spec.t)
+    if _MARONI[spec.case][spec.n] is None:
+        return Fraction(0)  # the index route keeps its bare c1^2
+    return blowup_correction(spec.n, spec.s, spec.t)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -37,11 +38,22 @@ CLI_CASES = tuple(c.replace("_", "-") for c in CASES)
 DEFAULT_GRID = tuple(Fraction(x) for x in (1, 2, 4, 14, 100, 1000))
 
 
+#: a value argparse quotes in an error message, if longer than 80 characters;
+#: it is echoed as its first 40 characters and its length
+_LONG_QUOTED = re.compile(r"'([^']{81,})'|\"([^\"]{81,})\"")
+
+
+def _shorten(match: re.Match) -> str:
+    quote, value = match[0][0], match[1] or match[2]
+    return f"{quote}{value[:40]}...{quote} ({len(value)} characters)"
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; 2 is reserved for verification here."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        message = _LONG_QUOTED.sub(_shorten, message)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
@@ -232,7 +244,7 @@ def _emit_rows(fmt: str, columns: list[str], rows: list[list], **fixed) -> None:
 def cmd_slope(args: argparse.Namespace) -> int:
     n = _require(args, "n", "--n (or degree= in the scenario file)")
     g = _require(args, "g", "--g (or genus=)")
-    if n not in (3, 4):
+    if n not in GENUS_FLOOR:
         raise ScenarioError(f"degree must be 3 or 4, got {n}")
     s, t = args.s or 0, args.t or 0
     if s < 0 or t < 0:
@@ -487,7 +499,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.scenario:
             _merge_scenario(args, load_scenario_file(args.scenario))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # `... | head` closed stdout: no input error; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ZeroChiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -13,7 +13,6 @@ obtained by solving them, never hard-coded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import BundleData, sym2, whitney_quotient
@@ -113,61 +112,39 @@ def exceptional_coefficient(n: int, kind: str) -> Rat:
     return Fraction(u, 2 * intersect(exc, exc))
 
 
+#: the supported exceptional coefficients, solved once, keyed like _UPSTAIRS
+_EXCEPTIONAL = {key: exceptional_coefficient(*key) for key in _UPSTAIRS}
+
+
 def exceptional_coefficients() -> tuple[Rat, Rat, Rat]:
     """The three supported coefficients, ordered (3, index3), (4, total_ram), (4, index3)."""
-    return (exceptional_coefficient(3, "index3"),
-            exceptional_coefficient(4, "total_ram"),
-            exceptional_coefficient(4, "index3"))
+    return tuple(_EXCEPTIONAL.values())
+
+
+def blowup_correction(n: int, s: int, t: int) -> Rat:
+    """a'^2 s + a''^2 t: what s total-ramification and t index-3 blow-ups add to c1^2.
+
+    An exceptional class has self-intersection -1, so its coefficient a in c1
+    lowers c1^2 by a^2.
+    """
+    if n not in GENUS_FLOOR:
+        raise ValueError(f"degree must be 3 or 4, got {n}")
+    if n == 3 and s:
+        raise ValueError("degree 3 admits no total-ramification blow-ups")
+    a1 = _EXCEPTIONAL[(n, "total_ram")] if s else 0
+    return a1 ** 2 * s + _EXCEPTIONAL[(n, "index3")] ** 2 * t
 
 
 def blownup_c1(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass:
     """c1 of the reduced bundle on the blown-up model, self-intersecting to c1sq.
 
-    Exceptional coefficients a come from exceptional_coefficient(); each
-    exceptional class has self-intersection -1, so the F coefficient absorbs
-    a^2 per blow-up to keep the self-intersection at c1sq.
+    The exceptional coefficients are the constants solved above; the F
+    coefficient absorbs blowup_correction() to keep the self-intersection
+    at c1sq.
     """
-    if n not in GENUS_FLOOR:
-        raise ValueError(f"degree must be 3 or 4, got {n}")
-    if n == 3 and model.s:
-        raise ValueError("degree 3 admits no total-ramification blow-ups")
+    correction = blowup_correction(n, model.s, model.t)
     d = g + n - 1
-    a1 = exceptional_coefficient(n, "total_ram") if model.s else 0
-    a2 = exceptional_coefficient(n, "index3")
-    fcoef = Fraction(Fraction(c1sq) + a1 * a1 * model.s + a2 * a2 * model.t, 2 * d)
+    a1 = _EXCEPTIONAL[(n, "total_ram")] if model.s else 0
+    a2 = _EXCEPTIONAL[(n, "index3")]
+    fcoef = Fraction(Fraction(c1sq) + correction, 2 * d)
     return NumClass(model, d, fcoef, (a1,) * model.s, (a2,) * model.t)
-
-
-@dataclass(frozen=True)
-class CoverData:
-    """A degree-n cover: genus g of the fibre, reduced bundle E, and R^2."""
-
-    n: int
-    g: int
-    bundle: BundleData
-    rsq: Rat
-
-    def __post_init__(self):
-        object.__setattr__(self, "rsq", Fraction(self.rsq))
-        if self.n not in (3, 4):
-            raise ValueError(f"degree must be 3 or 4, got {self.n}")
-        if self.bundle.rank != self.n - 1:
-            raise ValueError(f"degree {self.n} cover needs rank {self.n - 1}, "
-                             f"got {self.bundle.rank}")
-        floor = GENUS_FLOOR[self.n]
-        if self.g < floor:
-            raise ValueError(f"genus {self.g} below supported floor {floor} "
-                             f"for degree {self.n}")
-
-    @property
-    def surface(self) -> SurfaceModel:
-        return self.bundle.c1.model
-
-    def push_ramification(self) -> NumClass:
-        return push_ramification(self.bundle)
-
-    def chi_total_space(self) -> Rat:
-        return chi_total_space(self.n, self.bundle)
-
-    def push_2r_bundle(self) -> BundleData:
-        return push_2r_bundle(self.n, self.bundle, self.rsq)

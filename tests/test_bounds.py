@@ -6,6 +6,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gonalslope import verify
 from gonalslope.bounds import (ScenarioError, ScenarioSpec, SplittingType, _c2_chain,
@@ -15,8 +17,8 @@ from gonalslope.bounds import (ScenarioError, ScenarioSpec, SplittingType, _c2_c
                                splitting_for_scenario, stated_closed_form,
                                weak_positivity_bound)
 from gonalslope.ratcalc import G, RatFunc
-from gonalslope.slope import (fourgonal_blowup_parts, slope_fourgonal, slope_trigonal,
-                              trigonal_blowup_parts)
+from gonalslope.slope import (fourgonal_blowup_parts, harris_stankova_reference,
+                              slope_fourgonal, slope_trigonal, trigonal_blowup_parts)
 
 
 def test_splitting_type_validation():
@@ -66,6 +68,8 @@ def test_c2e_bound_polymorphic():
     (dict(n=3, g=11, case="index_only", s=1), "no total-ramification"),
     (dict(n=3, g=4, case="index_only"), "below floor"),
     (dict(n=4, g=9, case="index_only"), "below floor"),
+    (dict(n=4, g=10, case="general_odd"), "odd g"),
+    (dict(n=4, g=11, case="general_even"), "even g"),
 ])
 def test_scenario_validation_rejects(kwargs, message):
     with pytest.raises(ScenarioError) as err:
@@ -305,3 +309,77 @@ def test_blowup_report_matches_per_point_route(spec, grid):
     kf2_lead, chif_lead = p1[0] - p0[0], p1[1] - p0[1]
     assert rep.limit == kf2_lead / chif_lead
     assert rep.admissible_from == (-p0[1] / chif_lead if chif_lead > 0 else None)
+
+
+# -- cases as Maroni strata: m = beta - alpha picks one bound per degree --------
+
+
+def _maroni_family(n, m, g=G):
+    """5 - (2m+6)/(g+m) for n = 3, 16(g-1)/(3g+1+m) for n = 4."""
+    return 5 - (2 * m + 6) / (g + m) if n == 3 else 16 * (g - 1) / (3 * g + 1 + m)
+
+
+def _maroni_gap(n, m, g=G):
+    """Harris-Stankova reference minus the family at m."""
+    if n == 3:
+        return 2 * m * (g - 3) / (g * (g + m))
+    return 8 * (2 * g * m - g - 3 - 3 * m) / (3 * g * (3 * g + 1 + m))
+
+
+#: (spec at an admissible genus, m as a function of g); the degree-3 index
+#: route uses no splitting but coincides with m = (g+2)/9
+MARONI_ENTRIES = [
+    (ScenarioSpec(3, 5, "index_only"), (G + 2) / 9),
+    (ScenarioSpec(3, 11, "general_odd"), RatFunc.const(1)),
+    (ScenarioSpec(3, 12, "general_even"), RatFunc.const(0)),
+    (ScenarioSpec(4, 10, "index_only"), G - 5),
+    (ScenarioSpec(4, 11, "general_odd"), RatFunc.const(0)),
+    (ScenarioSpec(4, 10, "general_even"), RatFunc.const(1)),
+    (ScenarioSpec(4, 13, "nonfactorizing"), (G + 3) / 3),
+    *((ScenarioSpec(4, 6 * gamma + 5, "factorizing", gamma), G - 1 - 4 * gamma)
+      for gamma in range(1, 6)),
+]
+
+
+@pytest.mark.parametrize("spec,m", MARONI_ENTRIES, ids=str)
+def test_derived_bound_is_the_maroni_family(spec, m):
+    assert derived_slope_bound(spec).derived_bound == _maroni_family(spec.n, m)
+
+
+@pytest.mark.parametrize("spec,m", MARONI_ENTRIES, ids=str)
+def test_reference_gap_is_exact_in_m(spec, m):
+    gap = harris_stankova_reference(spec.n) - derived_slope_bound(spec).derived_bound
+    assert gap == _maroni_gap(spec.n, m)
+
+
+#: (n, case) -> m at an integer g, for the cases with an exact splitting type
+EXACT_MARONI = {
+    (3, "general_odd"): lambda g, gamma: 1,
+    (3, "general_even"): lambda g, gamma: 0,
+    (4, "general_odd"): lambda g, gamma: 0,
+    (4, "general_even"): lambda g, gamma: 1,
+    (4, "factorizing"): lambda g, gamma: g - 1 - 4 * gamma,
+}
+
+
+@st.composite
+def exact_splitting_specs(draw):
+    n, case = draw(st.sampled_from(sorted(EXACT_MARONI)))
+    g = draw(st.integers(10 if n == 4 else 5, 400))
+    if case == "general_odd":
+        g |= 1
+    elif case == "general_even":
+        g += g % 2
+    gamma = draw(st.integers(1, (g - 4) // 6)) if case == "factorizing" else None
+    return ScenarioSpec(n, g, case, gamma)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(exact_splitting_specs())
+def test_exact_splitting_follows_its_maroni_invariant(spec):
+    spec.validate()
+    m = EXACT_MARONI[(spec.n, spec.case)](spec.g, spec.gamma)
+    assert splitting_for_scenario(spec).maroni() == m
+    res = derived_slope_bound(spec)
+    assert res.strict is (m > 0)
+    assert res.derived_bound(spec.g) == _maroni_family(spec.n, Fraction(m), spec.g)

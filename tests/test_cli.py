@@ -103,6 +103,30 @@ def test_slope_rejects_inexact_literal(capsys):
     assert code == 1
 
 
+#: more digits than int() converts, so every option below rejects it
+LONG_LITERAL = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["slope", "--n", "3", "--g", "5", "--c1sq", LONG_LITERAL, "--c2", "1"],
+    ["slope", "--n", "3", "--g", LONG_LITERAL, "--c1sq", "14", "--c2", "1"],
+    ["report", "--n", "3", "--g", "5", "--case", "general-odd", "--c1sq-grid", LONG_LITERAL],
+], ids=["c1sq", "g", "c1sq-grid"])
+def test_long_rejected_value_is_echoed_truncated(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert len(err.encode()) < 1000
+    assert err.endswith(f" value: '{'9' * 40}...' (5000 characters)\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "x" * 80])
+def test_short_rejected_value_is_echoed_in_full(value, capsys):
+    code, _, err = run_cli(["slope", "--n", "3", "--g", "5", "--c1sq", value, "--c2", "1"],
+                           capsys)
+    assert code == 1
+    assert err.endswith(f"error: argument --c1sq: invalid parse_rat value: '{value}'\n")
+
+
 def test_slope_zero_denominator_is_a_usage_error(child_env):
     proc = subprocess.run([sys.executable, "-m", "gonalslope", "slope", "--n", "3",
                            "--g", "5", "--c1sq", "1/0", "--c2", "1"],
@@ -514,6 +538,13 @@ def test_help_golden_output(command, capsys, monkeypatch):
     assert out == (GOLDEN / f"help_{command or 'gonal-slope'}.txt").read_text(encoding="utf-8")
 
 
+def test_verify_golden_output(capsys):
+    """The check names and the summary line, byte for byte."""
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / "verify.txt").read_text(encoding="utf-8")
+
+
 def test_negative_fraction_value_needs_equals_form(capsys):
     argv = GOLDEN_RUNS["report_n4_general_even_12_s1_t1_grid"][:-1]
     code, out, err = run_cli(argv + ["--c1sq-grid", "-1/2,14"], capsys)
@@ -540,6 +571,21 @@ def test_verify_exit_codes_via_stub(capsys, monkeypatch):
     code, _, err = run_cli(["verify"], capsys)
     assert code == 2
     assert "stub identity" in err
+
+
+def test_closed_stdout_exits_0_quietly(child_env):
+    # 123,820 bytes of rows, more than a pipe buffer holds: the writes outlive the reader
+    argv = ["sweep", "--n", "4", "--case", "general-odd", "--g-min", "11", "--g-max", "4001"]
+    proc = subprocess.Popen([sys.executable, "-m", "gonalslope", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=child_env)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == ""
+    assert head[0].split()[:2] == ["g", "derived"] and head[1].split()[0] == "11"
 
 
 def test_missing_subcommand_exits_1(capsys):

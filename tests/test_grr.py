@@ -8,7 +8,7 @@ import pytest
 
 from gonalslope.chern import BundleData
 from gonalslope.chow import SurfaceModel, intersect, self_intersection
-from gonalslope.grr import (CoverData, blownup_c1, c1_decomposition,
+from gonalslope.grr import (blownup_c1, blowup_correction, c1_decomposition,
                             chi_total_space, conics_kernel,
                             exceptional_coefficient, exceptional_coefficients,
                             fourgonal_rsq, push_2r_bundle, push_ramification,
@@ -119,6 +119,17 @@ def test_exceptional_coefficients_solved():
     assert exceptional_coefficients() == (-2, -3, -2)
 
 
+def test_blowup_correction_sums_squared_coefficients():
+    assert blowup_correction(3, 0, 2) == 8
+    assert blowup_correction(4, 1, 0) == 9
+    assert blowup_correction(4, 1, 2) == 17
+    assert blowup_correction(4, 0, 0) == 0
+    with pytest.raises(ValueError, match="degree must be 3 or 4"):
+        blowup_correction(5, 0, 1)
+    with pytest.raises(ValueError, match="no total-ramification"):
+        blowup_correction(3, 1, 0)
+
+
 def test_blownup_c1_roundtrip_and_pairings():
     rng = random.Random(79)
     for _ in range(100):
@@ -142,18 +153,3 @@ def test_blownup_c1_guards():
         blownup_c1(5, 3, 1, SurfaceModel(0, 1, 0))
     with pytest.raises(ValueError):
         blownup_c1(5, 5, 1, SurfaceModel())
-
-
-def test_cover_data_wrappers():
-    m = SurfaceModel(0)
-    e = BundleData(2, 7 * m.t0() + m.f(), 3)
-    cover = CoverData(3, 5, e, trigonal_rsq(e))
-    assert cover.surface == m
-    assert cover.rsq == 2 * 14 - 9
-    assert cover.push_ramification() == 2 * e.c1
-    assert cover.push_2r_bundle().c2 == 4 * 14 + 3 - cover.rsq
-    assert cover.chi_total_space() == chi_total_space(3, e)
-    with pytest.raises(ValueError):
-        CoverData(3, 4, e, 0)  # genus floor
-    with pytest.raises(ValueError):
-        CoverData(4, 10, e, 0)  # rank mismatch
