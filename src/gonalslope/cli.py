@@ -6,7 +6,7 @@ approximations.  Identical invocations produce byte-identical output, with
 rows in sorted order.
 
 Exit codes: 0 success, 1 input error, 2 verification failure, 3 degenerate
-denominator (chi_f = 0).
+denominator (chi_f = 0), 4 internal check failed (a bug, not bad input).
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+from . import __version__
 from . import verify as verify_suite
 from .bounds import (CASES, ScenarioError, ScenarioSpec, blowup_bound_report,
                      compare, derived_slope_bound)
@@ -28,7 +29,7 @@ from .ratcalc import parse_rat
 from .slope import (ZeroChiError, check_genus, harris_stankova_reference,
                     moduli_conversion, slope_fourgonal_blowup, slope_trigonal_blowup)
 
-EXIT_OK, EXIT_INPUT, EXIT_VERIFY, EXIT_DEGENERATE = 0, 1, 2, 3
+EXIT_OK, EXIT_INPUT, EXIT_VERIFY, EXIT_DEGENERATE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 FORMATS = ("table", "csv", "jsonl")
 CLI_CASES = tuple(c.replace("_", "-") for c in CASES)
@@ -38,8 +39,8 @@ CLI_CASES = tuple(c.replace("_", "-") for c in CASES)
 DEFAULT_GRID = tuple(Fraction(x) for x in (1, 2, 4, 14, 100, 1000))
 
 
-#: a value argparse quotes in an error message, if longer than 80 characters;
-#: it is echoed as its first 40 characters and its length
+#: a value quoted in an error message, if longer than 80 characters; it is
+#: echoed as its first 40 characters and its length
 _LONG_QUOTED = re.compile(r"'([^']{81,})'|\"([^\"]{81,})\"")
 
 
@@ -361,22 +362,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(f"empty sweep range: {g_min}..{g_max}")
     spec = ScenarioSpec(n, g_min, case, args.gamma, args.s or 0, args.t or 0)
     spec.validate_form()
-    floor = GENUS_FLOOR[n]
-    if g_min < floor and not args.allow_out_of_range:
-        raise ScenarioError(f"sweep range starts below the genus floor {floor} "
-                            f"for degree {n}; pass --allow-out-of-range")
+    _genus_note(n, g_min, args.allow_out_of_range)  # rows tag out-of-range themselves
     specs = [replace(spec, g=g) for g in range(g_min, g_max + 1)]
     specs = [sp for sp in specs if sp.genus_problem(enforce_floor=False) is None]
     if not specs:
         raise ScenarioError(f"empty sweep range: no admissible g in {g_min}..{g_max}")
-    check_genus(specs[0].g)  # rows ascend, so this is the least genus
 
     # the bound is one function of g per case: derive it once, evaluate per row;
     # so is strictness, as beta - alpha is 0, 1 or g - 4*gamma - 1 > 0 here
     res = derived_slope_bound(specs[0], allow_out_of_range=True)
     rows = [[sp.g, res.derived_bound(sp.g), res.stated_bound(sp.g), res.discrepancy(sp.g),
              harris_stankova_reference(n, sp.g), res.strict,
-             "" if sp.g >= floor else "out-of-range"] for sp in specs]
+             "" if sp.g >= GENUS_FLOOR[n] else "out-of-range"] for sp in specs]
 
     columns = ["g", "derived", "stated", "discrepancy", "reference", "strict", "tag"]
     _emit_rows(args.format or "table", columns, rows)
@@ -473,6 +470,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gonal-slope",
                      description="Exact slope lower bounds for trigonal and "
                                  "fourgonal fibred surfaces.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_, handler, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_, description=help_)
@@ -493,6 +491,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _error(message, code: int) -> int:
+    print(_LONG_QUOTED.sub(_shorten, f"error: {message}"), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -507,11 +510,11 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except ZeroChiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _error(exc, EXIT_DEGENERATE)
     except (ScenarioError, ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(exc, EXIT_INPUT)
+    except AssertionError as exc:
+        return _error(f"internal check failed: {exc}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """Exact scalar and univariate rational-function arithmetic.
 
 Scalars are stdlib ``fractions.Fraction`` values, re-exported here as
-``Rat``.  ``RatFunc`` is a quotient of polynomials over Q in one formal
-variable, printed as ``g``.  Every instance is held in canonical form:
-numerator and denominator coprime as polynomials, all coefficients
-integral and jointly coprime, leading denominator coefficient positive.
-Equality is therefore plain structural comparison, and an independent
-check is always available by evaluating at enough sample points.
+``Rat``.  ``RatFunc`` is a quotient of polynomials in one formal variable,
+printed as ``g``; it accepts int or Fraction coefficients but stores
+numerator and denominator as tuples of int.  Every instance is held in
+canonical form: numerator and denominator coprime as polynomials, all
+coefficients jointly coprime, leading denominator coefficient positive.
+The common factor is found by a primitive polynomial remainder sequence
+over Z, so no arithmetic leaves the integers.  Equality is therefore
+plain structural comparison, and an independent check is always
+available by evaluating at enough sample points.
 """
 from __future__ import annotations
 
@@ -23,6 +26,13 @@ class PoleError(ZeroDivisionError):
     """Evaluation of a RatFunc at a root of its denominator."""
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float or any other inexact value is refused."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {x!r}")
+    return Fraction(x)
+
+
 def parse_rat(text: str) -> Rat:
     """Parse an exact integer or 'p/q' literal. Anything else is rejected."""
     text = text.strip()
@@ -34,17 +44,21 @@ def parse_rat(text: str) -> Rat:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-# -- dense polynomials over Q: tuples of Fraction, lowest degree first, --
-# -- no trailing zeros; the zero polynomial is the empty tuple.         --
+# -- dense polynomials over Z: tuples of int, lowest degree first, no trailing --
+# -- zeros, () for zero.  The gcd is a primitive PRS: pseudo-remainders with   --
+# -- content removal (Knuth, TAOCP vol. 2, 4.6.1), so nothing leaves Z.       --
 
-def _trim(cs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+_Poly = tuple[int, ...]
+
+
+def _trim(cs: _Poly) -> _Poly:
     n = len(cs)
     while n and cs[n - 1] == 0:
         n -= 1
     return cs[:n]
 
 
-def _padd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _padd(a: _Poly, b: _Poly) -> _Poly:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -53,56 +67,95 @@ def _padd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, .
     return _trim(tuple(out))
 
 
-def _pneg(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(-c for c in a)
-
-
-def _pmul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _pmul(a: _Poly, b: _Poly) -> _Poly:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _trim(tuple(out))
+    return tuple(out)  # Z has no zero divisors: the lead stays nonzero
 
 
-def _pdivmod(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b) and any(r):
-        r = list(_trim(tuple(r)))
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        f = r[-1] / lead
-        q[k] = f
-        for i, c in enumerate(b):
-            r[k + i] -= f * c
-        r.pop()
-    return _trim(tuple(q)), _trim(tuple(r))
+def _primitive(a: _Poly) -> _Poly:
+    c = gcd(*a)
+    return a if c == 1 else tuple(x // c for x in a)
 
 
-def _pgcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _prem(a: _Poly, b: _Poly) -> _Poly:
+    """The remainder of a by b times a nonzero integer (len(a) >= len(b))."""
+    r, n, lead = list(a), len(b), b[-1]
+    for k in range(len(a) - n, -1, -1):
+        top = r.pop()
+        if top:
+            g = gcd(top, lead)
+            scale, f = lead // g, top // g
+            if scale != 1:
+                r = [c * scale for c in r]
+            for i in range(n - 1):
+                r[k + i] -= f * b[i]
+    return _trim(tuple(r))
+
+
+def _pgcd(a: _Poly, b: _Poly) -> _Poly:
+    """The primitive gcd of two nonzero polynomials, up to sign."""
+    if len(a) < len(b):
+        a, b = b, a
+    b = _primitive(b)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = tuple(c / a[-1] for c in a)  # monic
+        a, b = b, _primitive(_prem(a, b))
     return a
 
 
-def _peval(a: tuple[Fraction, ...], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(a):
-        out = out * x + c
+def _pexquo(a: _Poly, b: _Poly) -> _Poly:
+    """a / b, where b divides a."""
+    r, n, lead = list(a), len(b), b[-1]
+    q = [0] * (len(a) - n + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], rem = divmod(r.pop(), lead)
+        assert not rem, "inexact polynomial division"
+        for i in range(n - 1):
+            r[k + i] -= q[k] * b[i]
+    assert not any(r), "inexact polynomial division"
+    return tuple(q)
+
+
+def _canon(num: _Poly, den: _Poly) -> RatFunc:
+    """The RatFunc num/den: coprime, jointly primitive, positive lead in den."""
+    if not num:
+        den = (1,)
+    elif len(num) > 1 and len(den) > 1:
+        common = _pgcd(num, den)
+        if len(common) > 1:
+            num, den = _pexquo(num, common), _pexquo(den, common)
+    c = gcd(*num, *den) * (-1 if den[-1] < 0 else 1)
+    if c != 1:
+        num, den = tuple(x // c for x in num), tuple(x // c for x in den)
+    out = object.__new__(RatFunc)
+    out.num, out.den = num, den
     return out
 
 
-def _pstr(a: tuple[Fraction, ...], var: str = "g") -> str:
+def _phom(a: _Poly, p: _Poly, q: _Poly, k: int) -> _Poly:
+    """q^k a(p/q) for polynomials p, q and k >= deg a: sum of a_i p^i q^(k-i)."""
+    acc, qk = (), (1,)
+    for c in reversed(a + (0,) * (k + 1 - len(a))):
+        acc = _padd(_pmul(acc, p), tuple(c * x for x in qk))
+        qk = _pmul(qk, q)
+    return acc
+
+
+def _peval(a: _Poly, p: int, q: int, k: int) -> int:
+    """The integer q^k a(p/q), for k >= deg a."""
+    acc, qk = 0, 1
+    for c in reversed(a):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc * q ** (k + 1 - len(a))
+
+
+def _pstr(a: _Poly, var: str = "g") -> str:
     if not a:
         return "0"
     parts: list[str] = []
@@ -112,12 +165,11 @@ def _pstr(a: tuple[Fraction, ...], var: str = "g") -> str:
             continue
         sign = "-" if c < 0 else "+"
         mag = abs(c)
-        mag_s = str(mag.numerator) if mag.denominator == 1 else str(mag)
         if k == 0:
-            body = mag_s
+            body = str(mag)
         else:
             pw = var if k == 1 else f"{var}^{k}"
-            body = pw if mag == 1 else f"{mag_s}{pw}"
+            body = pw if mag == 1 else f"{mag}{pw}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = ("-" if first_sign == "-" else "") + first_body
@@ -127,38 +179,29 @@ def _pstr(a: tuple[Fraction, ...], var: str = "g") -> str:
 
 
 class RatFunc:
-    """A rational function num/den in the single variable g, over Q."""
+    """A rational function num/den in the single variable g, over Q.
+
+    ``num`` and ``den`` are tuples of int, lowest degree first.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        n = _trim(tuple(Fraction(c) for c in num))
-        d = _trim(tuple(Fraction(c) for c in den))
+        n, d = [_exact(c) for c in num], [_exact(c) for c in den]
+        m = lcm(*(c.denominator for c in n + d))
+        n, d = (_trim(tuple(c.numerator * (m // c.denominator) for c in cs))
+                for cs in (n, d))
         if not d:
             raise ZeroDivisionError("denominator is identically zero")
-        if not n:
-            self.num, self.den = (), (Fraction(1),)
-            return
-        common = _pgcd(n, d)
-        if len(common) > 1:
-            n = _pdivmod(n, common)[0]
-            d = _pdivmod(d, common)[0]
-        # clear to jointly coprime integer coefficients, positive lead in den
-        all_cs = n + d
-        m = lcm(*(c.denominator for c in all_cs))
-        ints = [c * m for c in all_cs]
-        gg = gcd(*(int(c) for c in ints))
-        scale = Fraction(m, gg)
-        if d[-1] * scale < 0:
-            scale = -scale
-        self.num = tuple(c * scale for c in n)
-        self.den = tuple(c * scale for c in d)
+        canon = _canon(n, d)
+        self.num, self.den = canon.num, canon.den
 
     # construction helpers ------------------------------------------------
 
     @classmethod
     def const(cls, q) -> RatFunc:
-        return cls((Fraction(q),))
+        q = _exact(q)
+        return _canon((q.numerator,) if q else (), (q.denominator,))
 
     @classmethod
     def variable(cls) -> RatFunc:
@@ -183,9 +226,7 @@ class RatFunc:
     def as_rat(self) -> Rat:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        if not self.num:
-            return Fraction(0)
-        return self.num[0] / self.den[0]
+        return Fraction(self.num[0] if self.num else 0, self.den[0])
 
     # arithmetic -----------------------------------------------------------
 
@@ -193,14 +234,14 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-                       _pmul(self.den, o.den))
+        return _canon(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
+                      _pmul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
         out = object.__new__(RatFunc)
-        out.num = _pneg(self.num)
+        out.num = tuple(-c for c in self.num)
         out.den = self.den
         return out
 
@@ -220,7 +261,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return _canon(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -230,7 +271,7 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return _canon(_pmul(self.num, o.den), _pmul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -244,7 +285,7 @@ class RatFunc:
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("inverse of the zero rational function")
-            return RatFunc(self.den, self.num) ** (-k)
+            return _canon(self.den, self.num) ** (-k)
         out = RatFunc.const(1)
         for _ in range(k):
             out = out * self
@@ -265,31 +306,29 @@ class RatFunc:
     # evaluation and substitution -------------------------------------------
 
     def __call__(self, x) -> Rat:
-        x = Fraction(x)
-        d = _peval(self.den, x)
+        x = _exact(x)
+        k = max(len(self.num), len(self.den)) - 1
+        d = _peval(self.den, x.numerator, x.denominator, k)
         if d == 0:
             raise PoleError(f"pole of {self} at g = {x}")
-        return _peval(self.num, x) / d
+        return Fraction(_peval(self.num, x.numerator, x.denominator, k), d)
 
     def compose(self, inner) -> RatFunc:
         """Substitute ``inner`` for the variable; inner may be a RatFunc or a number."""
         h = self._coerce(inner)
         if h is None:
             raise TypeError(f"cannot substitute {inner!r}")
-        n = RatFunc.const(0)
-        for c in reversed(self.num):
-            n = n * h + c
-        d = RatFunc.const(0)
-        for c in reversed(self.den):
-            d = d * h + c
-        if d.is_zero():
+        # f(p/q) = q^k num(p/q) / (q^k den(p/q)), one canonicalisation at the end
+        k = max(len(self.num), len(self.den)) - 1
+        d = _phom(self.den, h.num, h.den, k)
+        if not d:
             raise ZeroDivisionError("denominator vanishes identically under substitution")
-        return n / d
+        return _canon(_phom(self.num, h.num, h.den, k), d)
 
     def __str__(self) -> str:
         if self.is_constant():
             return str(self.as_rat())
-        if self.den == (Fraction(1),):
+        if self.den == (1,):
             return _pstr(self.num)
         num_s, den_s = _pstr(self.num), _pstr(self.den)
         wrap = lambda s: f"({s})" if " " in s else s

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import gonalslope
 from gonalslope import cli
 from gonalslope.bounds import ScenarioSpec, c2_bounds_blowup, derived_slope_bound
 
@@ -119,6 +120,16 @@ def test_long_rejected_value_is_echoed_truncated(argv, capsys):
     assert err.endswith(f" value: '{'9' * 40}...' (5000 characters)\n")
 
 
+def test_long_scenario_file_value_is_echoed_truncated(tmp_path, capsys):
+    sc = tmp_path / "sc.txt"
+    sc.write_text(f"genus={LONG_LITERAL}\n")
+    code, out, err = run_cli(["bound", "--scenario", str(sc)], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.encode()) < 1000
+    assert err.endswith(f"genus: expected an integer, got '{'9' * 40}...' "
+                        "(5000 characters)\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "x" * 80])
 def test_short_rejected_value_is_echoed_in_full(value, capsys):
     code, _, err = run_cli(["slope", "--n", "3", "--g", "5", "--c1sq", value, "--c2", "1"],
@@ -198,9 +209,11 @@ def test_slope_csv_quotes_note_with_comma(capsys):
     (["slope", "--n", "3", "--g", "-2", "--c1sq", "14", "--c2", "1"], -2),
     (["bound", "--n", "3", "--g", "0", "--case", "general-even"], 0),
     (["sweep", "--n", "3", "--case", "general-even", "--g-min", "0", "--g-max", "12"], 0),
+    # no genus below 1 is swept, but the range still starts below 1
+    (["sweep", "--n", "3", "--case", "general-odd", "--g-min", "0", "--g-max", "12"], 0),
     (["report", "--n", "3", "--g", "0", "--case", "index-only", "--t", "1"], 0),
     (["report", "--n", "4", "--g", "-3", "--case", "general-odd"], -3),
-], ids=["slope", "slope-pole", "bound", "sweep", "report", "report-pole"])
+], ids=["slope", "slope-pole", "bound", "sweep", "sweep-odd", "report", "report-pole"])
 def test_genus_below_one_exits_1(argv, g, capsys):
     code, out, err = run_cli(argv + ["--allow-out-of-range"], capsys)
     assert (code, out) == (1, "")
@@ -302,6 +315,19 @@ def test_sweep_fourgonal_nonfactorizing_g9_row(capsys):
     assert rows[0][0] == "9" and Fraction(rows[0][1]) == 4
     assert rows[0][6] == "out-of-range"
     assert rows[1][6] == "" and rows[2][6] == ""
+
+
+@pytest.mark.parametrize("n,case,g_min", [("3", "general-odd", 4), ("4", "general-even", 9)])
+def test_sweep_below_floor_uses_the_genus_gate(n, case, g_min, capsys):
+    """sweep refuses a range below the floor with the words of slope, bound and report."""
+    code, out, err = run_cli(["sweep", "--n", n, "--case", case, "--g-min", str(g_min),
+                              "--g-max", "20"], capsys)
+    assert (code, out) == (1, "")
+    floor = cli.GENUS_FLOOR[int(n)]
+    assert err == (f"error: genus {g_min} below floor {floor} for degree {n}; "
+                   "pass --allow-out-of-range to compute anyway\n")
+    _, _, bound_err = run_cli(["bound", "--n", n, "--case", case, "--g", str(g_min)], capsys)
+    assert bound_err == err
 
 
 def test_sweep_empty_range_exits_1(capsys):
@@ -571,6 +597,30 @@ def test_verify_exit_codes_via_stub(capsys, monkeypatch):
     code, _, err = run_cli(["verify"], capsys)
     assert code == 2
     assert "stub identity" in err
+
+
+def test_internal_check_failure_exits_4(capsys, monkeypatch):
+    def broken(spec, **kwargs):
+        raise AssertionError("c1^2 failed to cancel: constant terms (1,)")
+
+    monkeypatch.setattr(cli, "derived_slope_bound", broken)
+    code, out, err = run_cli(GOLDEN_RUNS["sweep_n4_general_even_10_60"], capsys)
+    assert (code, out) == (4, "")
+    assert err == "error: internal check failed: c1^2 failed to cancel: constant terms (1,)\n"
+
+
+def test_version_is_written_once(capsys):
+    """--version prints the package version, which pyproject.toml reads, not repeats."""
+    code, out, _ = run_cli(["--version"], capsys)
+    assert (code, out) == (0, f"gonal-slope {gonalslope.__version__}\n")
+    assert out == "gonal-slope 0.1.0\n"
+    toml = pytest.importorskip("tomllib" if sys.version_info >= (3, 11) else "tomli")
+    with PYPROJECT.open("rb") as fh:
+        config = toml.load(fh)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "gonalslope.__version__"}
 
 
 def test_closed_stdout_exits_0_quietly(child_env):

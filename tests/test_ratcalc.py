@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gonalslope.ratcalc import G, PoleError, RatFunc, parse_rat
+from gonalslope.ratcalc import G, PoleError, RatFunc, _pgcd, parse_rat
 
 
 def rand_ratfunc(rng: random.Random, deg: int = 3) -> RatFunc:
@@ -70,6 +74,14 @@ def test_zero_and_constants():
     assert c.is_constant() and c.as_rat() == Fraction(-3, 7)
     with pytest.raises(ValueError):
         G.as_rat()
+
+
+@pytest.mark.parametrize("build", [lambda: RatFunc((0.5, 1)), lambda: RatFunc((1,), ("2",)),
+                                   lambda: RatFunc.const(0.25), lambda: G(0.1)],
+                         ids=["num", "den", "const", "call"])
+def test_inexact_values_refused(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_identically_zero_denominator_rejected():
@@ -181,3 +193,113 @@ def test_constant_hashes_like_its_number(value):
 ])
 def test_str_forms(func, text):
     assert str(func) == text
+
+
+# -- independent oracles: sympy for the algebra, hypothesis for the properties --
+
+SYM_G = sympy.Symbol("g")
+
+nonzero_int_polys = st.lists(st.integers(-30, 30), max_size=5).map(tuple).filter(any)
+coefficients = st.one_of(st.integers(-30, 30),
+                         st.fractions(-30, 30, max_denominator=6))
+rat_polys = st.lists(coefficients, max_size=4).map(tuple)
+nonzero_rat_polys = rat_polys.filter(any)
+ratfuncs = st.builds(RatFunc, rat_polys, nonzero_rat_polys)
+oracle_settings = settings(max_examples=100, deadline=None, database=None)
+
+
+def to_sympy(cs) -> sympy.Poly:
+    """A coefficient tuple, lowest degree first, as a sympy polynomial over Q."""
+    return sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator) * SYM_G ** i for i, c in enumerate(cs)),
+                          sympy.Integer(0)), SYM_G, domain="QQ")
+
+
+def from_sympy(poly: sympy.Poly) -> tuple[Fraction, ...]:
+    cs = () if poly.is_zero else reversed(poly.all_coeffs())
+    return tuple(Fraction(int(c.p), int(c.q)) for c in cs)
+
+
+def sympy_product(a, b) -> tuple[Fraction, ...]:
+    return from_sympy(to_sympy(a) * to_sympy(b))
+
+
+def primitive_pair(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """num/den scaled to jointly coprime integers with a positive lead in den."""
+    cs = [Fraction(c) for c in (*num, *den)]
+    scale = Fraction(lcm(*(c.denominator for c in cs)),
+                     gcd(*(c.numerator for c in cs)))
+    if den[-1] < 0:
+        scale = -scale
+    ints = [int(c * scale) for c in cs]
+    return tuple(ints[:len(num)]), tuple(ints[len(num):])
+
+
+def sympy_canonical(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    n, d = sympy.fraction(sympy.cancel(to_sympy(num).as_expr() / to_sympy(den).as_expr()))
+    n, d = from_sympy(sympy.Poly(n, SYM_G)), from_sympy(sympy.Poly(d, SYM_G))
+    return ((), (1,)) if not n else primitive_pair(n, d)
+
+
+def is_int_tuple(cs) -> bool:
+    return all(type(c) is int for c in cs)
+
+
+@oracle_settings
+@given(rat_polys, nonzero_rat_polys, nonzero_int_polys)
+def test_canonical_form_matches_sympy_cancel(a, b, common):
+    num, den = sympy_product(a, common), sympy_product(b, common)
+    f = RatFunc(num, den)
+    assert (f.num, f.den) == sympy_canonical(num, den)
+    assert is_int_tuple(f.num) and is_int_tuple(f.den)
+
+
+@oracle_settings
+@given(nonzero_int_polys, nonzero_int_polys, nonzero_int_polys)
+def test_private_gcd_matches_sympy_gcd(a, b, common):
+    p, q = (tuple(int(c) for c in sympy_product(x, common)) for x in (a, b))
+    got = _pgcd(p, q)
+    assert is_int_tuple(got)
+    # equal up to content and sign: both scale to the same monic polynomial
+    monic = lambda cs: tuple(Fraction(c) / cs[-1] for c in cs)
+    assert monic(got) == monic(from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))))
+
+
+@oracle_settings
+@given(ratfuncs, ratfuncs, ratfuncs)
+def test_field_axioms(f, h, k):
+    zero, one = RatFunc.const(0), RatFunc.const(1)
+    assert f + h == h + f and f * h == h * f
+    assert (f + h) + k == f + (h + k) and (f * h) * k == f * (h * k)
+    assert f * (h + k) == f * h + f * k
+    assert f + zero == f and f * one == f and f - f == zero and -(-f) == f
+    if not f.is_zero():
+        assert f * (1 / f) == one and f / f == one
+    for result in (f + h, f - h, f * h, f * (h + k)):
+        assert is_int_tuple(result.num) and is_int_tuple(result.den)
+
+
+@oracle_settings
+@given(ratfuncs, ratfuncs, st.integers(-40, 40) | st.fractions(-40, 40, max_denominator=9))
+def test_compose_agrees_with_evaluation_off_poles(f, h, x):
+    try:
+        expect = f(h(x))
+    except PoleError:
+        assume(False)
+    assert f.compose(h)(x) == expect
+
+
+@oracle_settings
+@given(ratfuncs, nonzero_int_polys)
+def test_common_factor_leaves_canonical_form_unchanged(f, factor):
+    scaled = RatFunc(sympy_product(f.num, factor), sympy_product(f.den, factor))
+    assert (scaled.num, scaled.den) == (f.num, f.den)
+
+
+@oracle_settings
+@given(ratfuncs, ratfuncs, st.fractions(-50, 50, max_denominator=12))
+def test_equal_values_have_equal_hashes(f, h, q):
+    again = (f + h) - h
+    assert again == f and hash(again) == hash(f)
+    const = (G + q) - G
+    assert const == q and const == RatFunc.const(q)
+    assert hash(const) == hash(q) == hash(RatFunc.const(q))
