@@ -23,7 +23,7 @@ from .grr import (blownup_c1, blowup_correction, c1_decomposition,
                   chi_total_space, conics_kernel, exceptional_coefficient,
                   exceptional_coefficients, fourgonal_rsq, push_2r_bundle,
                   push_ramification, trigonal_rsq, upstairs_pairing)
-from .ratcalc import G, PoleError, Rat, RatFunc, parse_rat
+from .ratcalc import G, PoleError, Rat, RatFunc, lift, parse_rat
 from .slope import (FibrationInvariants, ModuliData, ZeroChiError, check_genus,
                     fourgonal_rearranged, harris_stankova_reference,
                     moduli_conversion, slope_fourgonal, slope_fourgonal_blowup,
@@ -43,7 +43,7 @@ __all__ = [
     "chi_total_space", "compare", "conics_kernel", "derived_slope_bound",
     "exceptional_coefficient", "exceptional_coefficients",
     "fourgonal_rearranged", "fourgonal_rsq", "harris_stankova_reference",
-    "index_bound", "intersect", "moduli_conversion", "parse_rat",
+    "index_bound", "intersect", "lift", "moduli_conversion", "parse_rat",
     "push_2r_bundle", "push_ramification", "self_intersection",
     "slope_fourgonal", "slope_fourgonal_blowup", "slope_general",
     "slope_general_via_surface", "slope_trigonal", "slope_trigonal_blowup",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .grr import GENUS_FLOOR, blowup_correction
-from .ratcalc import G, Rat, RatFunc
+from .ratcalc import G, Rat, RatFunc, lift
 from .slope import (fourgonal_blowup_parts, slope_fourgonal, slope_trigonal,
                     trigonal_blowup_parts)
 
@@ -46,8 +46,8 @@ class SplittingType:
     beta: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", lift(self.alpha))
+        object.__setattr__(self, "beta", lift(self.beta))
         if not 0 < self.alpha <= self.beta:
             raise ValueError(f"need 0 < alpha <= beta, got ({self.alpha}, {self.beta})")
 
@@ -58,14 +58,14 @@ class SplittingType:
 def weak_positivity_bound(st: SplittingType, c1sq) -> tuple[Rat, bool]:
     """Lower bound alpha/(2(alpha+beta)) * c1sq on c2, strict unless balanced."""
     coeff = st.alpha / (2 * (st.alpha + st.beta))
-    return coeff * Fraction(c1sq), st.alpha < st.beta
+    return coeff * lift(c1sq), st.alpha < st.beta
 
 
 def index_bound(n: int, c1sq) -> Rat:
     """Upper bound 4 c1^2 / n on R^2 for a degree-n cover (signature argument)."""
     if n < 2:
         raise ScenarioError(f"index bound needs degree >= 2, got {n}")
-    return Fraction(4, n) * Fraction(c1sq)
+    return Fraction(4, n) * lift(c1sq)
 
 
 def c2e_bound_fourgonal(c1sq, c2f):
@@ -73,9 +73,7 @@ def c2e_bound_fourgonal(c1sq, c2f):
 
     Either argument may be symbolic; the result follows suit.
     """
-    if isinstance(c1sq, RatFunc) or isinstance(c2f, RatFunc):
-        return (c1sq + c2f) / 4
-    return (Fraction(c1sq) + Fraction(c2f)) / 4
+    return (lift(c1sq) + lift(c2f)) / 4
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
     spec.validate(enforce_genus=False)
     if spec.case == "index_only":
         return None
-    d, m, is_floor = _split_exprs(spec, Fraction(spec.g))
+    d, m, is_floor = _split_exprs(spec, lift(spec.g))
     alpha = (d - m) / 2
     if is_floor:
         alpha = math.ceil(alpha)
@@ -224,7 +222,7 @@ def c2_bounds_blowup(spec: ScenarioSpec, c1sq) -> C2Bound:
     coeff = q(spec.g)
     corr = _correction(spec)
     target = "c2(E)" if spec.n == 3 else "c2(F)"
-    return C2Bound(target, coeff * (Fraction(c1sq) + corr), coeff, corr, strict)
+    return C2Bound(target, coeff * (lift(c1sq) + corr), coeff, corr, strict)
 
 
 @dataclass(frozen=True)
@@ -356,7 +354,7 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     (kf2_0, chif_0), (kf2_lead, chif_lead) = _affine_parts(spec, spec.g, coeff)
 
     rows = []
-    for c1sq in sorted({Fraction(x) for x in c1sq_grid}):
+    for c1sq in sorted(set(map(lift, c1sq_grid))):
         kf2, chif = kf2_0 + kf2_lead * c1sq, chif_0 + chif_lead * c1sq
         sl = kf2 / chif if chif > 0 else None
         verdict = ("inadmissible" if sl is None else "below" if sl < baseline_at_g

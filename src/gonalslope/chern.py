@@ -2,10 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chow import NumClass, intersect, self_intersection
-from .ratcalc import Rat
+from .ratcalc import Rat, RatFunc, lift
 
 
 class UnsupportedRankError(ValueError):
@@ -18,17 +17,17 @@ class BundleData:
 
     rank: int
     c1: NumClass
-    c2: Rat
+    c2: Rat | RatFunc
 
     def __post_init__(self):
-        object.__setattr__(self, "c2", Fraction(self.c2))
+        object.__setattr__(self, "c2", lift(self.c2))
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
         if self.rank == 1 and self.c2 != 0:
             raise ValueError("a line bundle has c2 = 0")
 
     @property
-    def c1sq(self) -> Rat:
+    def c1sq(self) -> Rat | RatFunc:
         return self_intersection(self.c1)
 
 
@@ -75,7 +74,7 @@ class ChernCharacter:
 
     rank: Rat
     d1: NumClass
-    d2: Rat
+    d2: Rat | RatFunc
 
     def __add__(self, other: ChernCharacter) -> ChernCharacter:
         return ChernCharacter(self.rank + other.rank, self.d1 + other.d1,
@@ -83,4 +82,4 @@ class ChernCharacter:
 
 
 def chern_character(e: BundleData) -> ChernCharacter:
-    return ChernCharacter(Fraction(e.rank), e.c1, Fraction(e.c1sq - 2 * e.c2, 2))
+    return ChernCharacter(lift(e.rank), e.c1, (e.c1sq - 2 * e.c2) / 2)

@@ -10,9 +10,8 @@ are T0.F = 1 and E'_i^2 = E''_j^2 = -1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .ratcalc import Rat
+from .ratcalc import Rat, RatFunc, lift
 
 _MAX_BLOWUPS = 10_000
 
@@ -61,19 +60,19 @@ class SurfaceModel:
 
 @dataclass(frozen=True)
 class NumClass:
-    """a.t0*T0 + a.f*F + sum a.ep[i]*E'_i + sum a.epp[j]*E''_j with rational coefficients."""
+    """a.t0*T0 + a.f*F + sum a.ep[i]*E'_i + sum a.epp[j]*E''_j, coefficients in Q or Q(g)."""
 
     model: SurfaceModel
-    t0: Rat
-    f: Rat
-    ep: tuple[Rat, ...] = field(default=())
-    epp: tuple[Rat, ...] = field(default=())
+    t0: Rat | RatFunc
+    f: Rat | RatFunc
+    ep: tuple[Rat | RatFunc, ...] = field(default=())
+    epp: tuple[Rat | RatFunc, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "t0", Fraction(self.t0))
-        object.__setattr__(self, "f", Fraction(self.f))
-        object.__setattr__(self, "ep", tuple(Fraction(c) for c in self.ep))
-        object.__setattr__(self, "epp", tuple(Fraction(c) for c in self.epp))
+        object.__setattr__(self, "t0", lift(self.t0))
+        object.__setattr__(self, "f", lift(self.f))
+        object.__setattr__(self, "ep", tuple(map(lift, self.ep)))
+        object.__setattr__(self, "epp", tuple(map(lift, self.epp)))
         if len(self.ep) != self.model.s or len(self.epp) != self.model.t:
             raise ModelMismatchError(
                 f"coefficient vectors ({len(self.ep)}, {len(self.epp)}) do not fit {self.model}")
@@ -95,20 +94,21 @@ class NumClass:
         return (-1) * self
 
     def __rmul__(self, k) -> NumClass:
-        k = Fraction(k)
+        k = lift(k)
         return NumClass(self.model, k * self.t0, k * self.f,
                         tuple(k * c for c in self.ep), tuple(k * c for c in self.epp))
 
     __mul__ = __rmul__
 
     def __str__(self) -> str:
-        bits = [f"{self.t0}*T0", f"{self.f}*F"]
-        bits += [f"{c}*E'{i}" for i, c in enumerate(self.ep) if c]
-        bits += [f"{c}*E''{j}" for j, c in enumerate(self.epp) if c]
+        terms = [(self.t0, "T0"), (self.f, "F")]
+        terms += [(c, f"E'{i}") for i, c in enumerate(self.ep) if c]
+        terms += [(c, f"E''{j}") for j, c in enumerate(self.epp) if c]
+        bits = (f"({c})*{gen}" if " " in str(c) else f"{c}*{gen}" for c, gen in terms)
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def intersect(a: NumClass, b: NumClass) -> Rat:
+def intersect(a: NumClass, b: NumClass) -> Rat | RatFunc:
     """Intersection number under T0.F = 1, T0^2 = F^2 = 0, E^2 = -1, E mutually orthogonal."""
     a._check(b)
     out = a.t0 * b.f + a.f * b.t0
@@ -117,7 +117,7 @@ def intersect(a: NumClass, b: NumClass) -> Rat:
     return out
 
 
-def self_intersection(a: NumClass) -> Rat:
+def self_intersection(a: NumClass) -> Rat | RatFunc:
     return intersect(a, a)
 
 

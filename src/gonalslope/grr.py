@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chern import BundleData, sym2, whitney_quotient
 from .chow import NumClass, SurfaceModel, canonical_class, chi_structure, intersect
-from .ratcalc import Rat
+from .ratcalc import Rat, lift
 
 #: lowest fibre genus supported, by cover degree
 GENUS_FLOOR = {3: 5, 4: 10}
@@ -47,8 +47,7 @@ def chi_total_space(n: int, e: BundleData) -> Rat:
     """chi(O_S) from the invariants of E on its own surface model."""
     m = e.c1.model
     k = canonical_class(m)
-    return (n * chi_structure(m) + Fraction(intersect(e.c1, k), 2)
-            + Fraction(e.c1sq, 2) - e.c2)
+    return n * chi_structure(m) + intersect(e.c1, k) / 2 + e.c1sq / 2 - e.c2
 
 
 def push_2r_bundle(n: int, e: BundleData, rsq: Rat) -> BundleData:
@@ -97,7 +96,7 @@ def c1_decomposition(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass
     d = g + n - 1
     if d <= 0:
         raise ValueError(f"fibre degree g+n-1 = {d} must be positive")
-    return NumClass(model, d, Fraction(Fraction(c1sq), 2 * d))
+    return NumClass(model, d, lift(c1sq) / (2 * d))
 
 
 def exceptional_coefficient(n: int, kind: str) -> Rat:
@@ -146,5 +145,5 @@ def blownup_c1(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass:
     d = g + n - 1
     a1 = _EXCEPTIONAL[(n, "total_ram")] if model.s else 0
     a2 = _EXCEPTIONAL[(n, "index3")]
-    fcoef = Fraction(Fraction(c1sq) + correction, 2 * d)
+    fcoef = (lift(c1sq) + correction) / (2 * d)
     return NumClass(model, d, fcoef, (a1,) * model.s, (a2,) * model.t)

@@ -1,7 +1,8 @@
 """Exact scalar and univariate rational-function arithmetic.
 
-Scalars are stdlib ``fractions.Fraction`` values, re-exported here as
-``Rat``.  ``RatFunc`` is a quotient of polynomials in one formal variable,
+Scalars are stdlib ``fractions.Fraction`` values (``Rat``) or ``RatFunc``s;
+``lift`` admits a caller's scalar into every layer and refuses a float or
+Decimal.  ``RatFunc`` is a quotient of polynomials in one formal variable,
 printed as ``g``; it accepts int or Fraction coefficients but stores
 numerator and denominator as tuples of int.  Every instance is held in
 canonical form: numerator and denominator coprime as polynomials, all
@@ -31,6 +32,11 @@ def _exact(x) -> Fraction:
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"not an exact rational: {x!r}")
     return Fraction(x)
+
+
+def lift(x):
+    """A caller's scalar: Fraction or RatFunc as is, int as Fraction, else TypeError."""
+    return x if isinstance(x, (Fraction, RatFunc)) else _exact(x)
 
 
 def parse_rat(text: str) -> Rat:

@@ -13,23 +13,14 @@ from fractions import Fraction
 from .chern import BundleData
 from .chow import SurfaceModel, canonical_class, intersect
 from .grr import c1_decomposition, chi_total_space
-from .ratcalc import G, Rat, RatFunc
+from .ratcalc import G, Rat, RatFunc, lift
 
 
 class ZeroChiError(ZeroDivisionError):
     """chi_f vanished; the slope is undefined."""
 
 
-def _lift(*xs):
-    return tuple(x if isinstance(x, RatFunc) else Fraction(x) for x in xs)
-
-
 def _ratio(kf2, chif):
-    if isinstance(chif, RatFunc) or isinstance(kf2, RatFunc):
-        num, den = RatFunc._coerce(kf2), RatFunc._coerce(chif)
-        if den.is_zero():
-            raise ZeroChiError("chi_f is identically zero")
-        return num / den
     if chif == 0:
         raise ZeroChiError("chi_f = 0")
     return kf2 / chif
@@ -72,6 +63,7 @@ def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
     K_f^2 = R^2 - 4c1^2/(g+n-1) and chi_f = (g+n-2)/(2(g+n-1)) c1^2 - c2,
     plus 3g/(2(g+n-1)) per E' and (g+n-3)/(g+n-1) per E''.
     """
+    g, n, c1sq, c2, rsq, s, t = map(lift, (g, n, c1sq, c2, rsq, s, t))
     d = g + n - 1
     chif = (g + n - 2) / (2 * d) * c1sq - c2
     if s:
@@ -82,12 +74,10 @@ def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
 
 
 def _trigonal_parts(g, c1sq, c2, t=0):
-    g, c1sq, c2 = _lift(g, c1sq, c2)
     return _parts(g, 3, c1sq, c2, 2 * c1sq - 3 * c2, t=t)
 
 
 def _fourgonal_parts(g, c1sq, c2e, c2f, s=0, t=0):
-    g, c1sq, c2e, c2f = _lift(g, c1sq, c2e, c2f)
     return _parts(g, 4, c1sq, c2e, 2 * c1sq - 4 * c2e + c2f, s, t)
 
 
@@ -98,7 +88,6 @@ def _invariants(kf2, chif) -> FibrationInvariants:
 def slope_general(g, n: int, c1sq, c2, rsq) -> FibrationInvariants:
     """Invariants of a degree-n cover fibration; slope_general_via_surface
     rechecks that the base genus cancels."""
-    g, c1sq, c2, rsq = _lift(g, c1sq, c2, rsq)
     return _invariants(*_parts(g, n, c1sq, c2, rsq))
 
 
@@ -113,7 +102,7 @@ def slope_general_via_surface(g: int, n: int, c1sq, c2, rsq, b: int) -> Fibratio
     e = BundleData(n - 1, c1, c2)
     ky = canonical_class(model)
     twist = (g - 1) * (b - 1)
-    kf2 = Fraction(rsq) + 4 * intersect(c1, ky) + n * intersect(ky, ky) - 8 * twist
+    kf2 = lift(rsq) + 4 * intersect(c1, ky) + n * intersect(ky, ky) - 8 * twist
     return _invariants(kf2, chi_total_space(n, e) - twist)
 
 
@@ -129,7 +118,7 @@ def slope_fourgonal(g, c1sq, c2e, c2f) -> FibrationInvariants:
     rearrangement around 4; both routes are checked against each other.
     """
     inv = _invariants(*_fourgonal_parts(g, c1sq, c2e, c2f))
-    c1sq, c2e, c2f = _lift(c1sq, c2e, c2f)
+    c1sq, c2e, c2f = map(lift, (c1sq, c2e, c2f))
     if c2e == (c1sq + c2f) / 4:
         alt = fourgonal_rearranged(g, c1sq, c2f)
         if alt != inv.slope:
@@ -146,7 +135,7 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
     direct quotient is smaller by 4*(blow-up terms)/chi_f, so only the
     direct route is used for bounds.
     """
-    g, c1sq, c2f = _lift(g, c1sq, c2f)
+    g, c1sq, c2f, s, t = map(lift, (g, c1sq, c2f, s, t))
     num = c2f - 2 * c1sq / (g + 3)
     den = ((g + 1) / (4 * (g + 3)) * c1sq - c2f / 4
            + 3 * g / (2 * (g + 3)) * s + (g + 1) / (g + 3) * t)
@@ -195,5 +184,5 @@ def harris_stankova_reference(n: int, g=None):
 
 def check_genus(g) -> None:
     """Raise ValueError unless the fibre genus g is positive."""
-    if Fraction(g) <= 0:
+    if lift(g) <= 0:
         raise ValueError(f"genus must be positive, got {g}")

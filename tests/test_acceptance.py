@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import gonalslope as gs
 from gonalslope import (
     G,
     BundleData,
@@ -40,6 +41,7 @@ from gonalslope import (
     trigonal_rsq,
     whitney,
 )
+from gonalslope.slope import fourgonal_blowup_parts, trigonal_blowup_parts
 
 _SEED = 77000
 
@@ -284,3 +286,42 @@ def test_c9_verify_subprocess_under_30s(child_env):
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout
         assert elapsed < 30.0, f"verify took {elapsed:.1f}s"
+
+
+# -- exactness at every entry -------------------------------------------------
+
+_F = gs.SurfaceModel().f()
+_REPORT = ScenarioSpec(3, 11, "general_odd", t=1)
+
+#: each public entry with a caller's scalar put in one slot
+_SCALAR_ENTRIES = {
+    "slope_general": lambda x: gs.slope_general(10, 3, x, 1, 2),
+    "slope_general.n": lambda x: gs.slope_general(10, x, 1, 1, 2),
+    "slope_general_via_surface.rsq": lambda x: gs.slope_general_via_surface(10, 3, 14, 3, x, 1),
+    "slope_trigonal": lambda x: gs.slope_trigonal(5, x, 1),
+    "slope_fourgonal": lambda x: gs.slope_fourgonal(11, 20, x, 2),
+    "slope_trigonal_blowup": lambda x: gs.slope_trigonal_blowup(7, 20, x, 1),
+    "slope_fourgonal_blowup": lambda x: gs.slope_fourgonal_blowup(11, 20, 3, x, 1, 2),
+    "trigonal_blowup_parts": lambda x: trigonal_blowup_parts(7, x, 3, 1),
+    "fourgonal_blowup_parts": lambda x: fourgonal_blowup_parts(11, x, 3, 2, 1, 2),
+    "fourgonal_rearranged": lambda x: gs.fourgonal_rearranged(11, 20, x),
+    "check_genus": gs.check_genus,
+    "NumClass": lambda x: gs.NumClass(gs.SurfaceModel(), x, 1),
+    "scalar_times_class": lambda x: x * _F,
+    "BundleData.c2": lambda x: gs.BundleData(2, _F, x),
+    "c1_decomposition": lambda x: gs.c1_decomposition(10, 3, x, gs.SurfaceModel()),
+    "blownup_c1": lambda x: gs.blownup_c1(10, 3, x, gs.SurfaceModel(0, 0, 1)),
+    "SplittingType": lambda x: gs.SplittingType(x, 1),
+    "weak_positivity_bound": lambda x: gs.weak_positivity_bound(gs.SplittingType(1, 2), x),
+    "index_bound": lambda x: gs.index_bound(3, x),
+    "c2e_bound_fourgonal": lambda x: gs.c2e_bound_fourgonal(x, 1),
+    "c2_bounds_blowup": lambda x: gs.c2_bounds_blowup(_REPORT, x),
+    "blowup_bound_report.grid": lambda x: gs.blowup_bound_report(_REPORT, (14, x)),
+}
+
+
+@pytest.mark.parametrize("entry", _SCALAR_ENTRIES.values(), ids=_SCALAR_ENTRIES)
+def test_inexact_scalar_refused_at_every_entry(entry):
+    entry(Fraction(1, 10))
+    with pytest.raises(TypeError):
+        entry(0.1)

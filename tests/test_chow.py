@@ -9,6 +9,8 @@ import pytest
 from gonalslope.chow import (ModelMismatchError, NumClass, SurfaceModel,
                              canonical_class, chi_structure, intersect,
                              self_intersection)
+from gonalslope.grr import blownup_c1
+from gonalslope.ratcalc import G
 
 
 def rand_class(rng: random.Random, m: SurfaceModel) -> NumClass:
@@ -108,3 +110,20 @@ def test_str_rendering():
     m = SurfaceModel(0, 1, 1)
     c = NumClass(m, 5, Fraction(-7, 2), (-2,), (0,))
     assert str(c) == "5*T0 - 7/2*F - 2*E'0"
+
+
+def test_str_parenthesises_compound_coefficients():
+    assert (str(blownup_c1(G, 4, 1, SurfaceModel(1, 1, 1)))
+            == "(g + 3)*T0 + (7/(g + 3))*F - 3*E'0 - 2*E''0")
+    assert str(NumClass(SurfaceModel(0, 1, 0), 1, 2, (1 - G,))) == "1*T0 + 2*F + (-g + 1)*E'0"
+
+
+def test_str_of_rational_classes_keeps_its_form():
+    rng = random.Random(113)
+    for _ in range(200):
+        m = SurfaceModel(0, rng.randint(0, 2), rng.randint(0, 2))
+        c = rand_class(rng, m)
+        bits = [f"{c.t0}*T0", f"{c.f}*F"]
+        bits += [f"{x}*E'{i}" for i, x in enumerate(c.ep) if x]
+        bits += [f"{x}*E''{j}" for j, x in enumerate(c.epp) if x]
+        assert str(c) == " + ".join(bits).replace("+ -", "- ")

@@ -1,10 +1,12 @@
 """Command-line surface: flags, scenario files, formats, exit codes, determinism."""
 from __future__ import annotations
 
+import ast
 import csv
 import importlib.metadata
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -681,6 +683,23 @@ def test_console_script_installed(tmp_path, child_env):
                           capture_output=True, text=True, env=child_env)
     assert proc.returncode == 1
     assert proc.stderr.startswith("usage: gonal-slope")
+
+
+def test_test_extra_lists_what_the_tests_import():
+    """`pip install .[test]` brings every third-party module a test module imports."""
+    toml = pytest.importorskip("tomllib" if sys.version_info >= (3, 11) else "tomli")
+    with PYPROJECT.open("rb") as fh:
+        extra = toml.load(fh)["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req).group() for req in extra}
+    imported = set()
+    for path in Path(__file__).resolve().parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"gonalslope"}
+    assert third_party <= declared, sorted(third_party - declared)
 
 
 def _installed_distribution():

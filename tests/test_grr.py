@@ -3,16 +3,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from gonalslope.bounds import c2_bounds_blowup, c2e_bound_fourgonal, derived_slope_bound
 from gonalslope.chern import BundleData
-from gonalslope.chow import SurfaceModel, intersect, self_intersection
+from gonalslope.chow import SurfaceModel, canonical_class, intersect, self_intersection
 from gonalslope.grr import (blownup_c1, blowup_correction, c1_decomposition,
                             chi_total_space, conics_kernel,
                             exceptional_coefficient, exceptional_coefficients,
                             fourgonal_rsq, push_2r_bundle, push_ramification,
                             trigonal_rsq, upstairs_pairing)
+from gonalslope.ratcalc import G, RatFunc
+from gonalslope.slope import (fourgonal_blowup_parts, slope_general_via_surface,
+                              trigonal_blowup_parts)
+from gonalslope.verify import ALL_SCENARIOS
 
 
 def rand_bundle(rng: random.Random, rank: int, m: SurfaceModel) -> BundleData:
@@ -153,3 +159,46 @@ def test_blownup_c1_guards():
         blownup_c1(5, 3, 1, SurfaceModel(0, 1, 0))
     with pytest.raises(ValueError):
         blownup_c1(5, 5, 1, SurfaceModel())
+
+
+# -- the slope layer's transcribed closed forms against grr over Q(g) ----------
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_blowup_parts_are_what_grr_derives(n):
+    """(K_f^2, chi_f) in slope equal (R^2 + 4 c1.K_Y, chi(O_S)) from grr at symbolic g.
+
+    On a base of genus 1 the twist (g-1)(b-1) is 0, so K_f^2 = R^2 + 4 c1.K_Y
+    with c1.K_Y taken on the unblown model, and chi_f = chi(O_S) on the
+    blown-up one; R^2 comes from the Sym^2 routes.
+    """
+    base = SurfaceModel(1)
+    c2fs, ss = ((0, 3), range(3)) if n == 4 else ((None,), (0,))
+    for c1sq, c2, c2f, s, t in product((1, Fraction(7, 3)), (0, Fraction(-2, 5)),
+                                       c2fs, ss, range(4)):
+        e = BundleData(n - 1, blownup_c1(G, n, c1sq, SurfaceModel(1, s, t)), c2)
+        c1_ky = intersect(blownup_c1(G, n, c1sq, base), canonical_class(base))
+        if n == 3:
+            rsq, parts = trigonal_rsq(e), trigonal_blowup_parts(G, c1sq, c2, t)
+        else:
+            rsq = fourgonal_rsq(e, BundleData(2, e.c1, c2f))
+            parts = fourgonal_blowup_parts(G, c1sq, c2, c2f, s, t)
+        assert all(isinstance(x, RatFunc) for x in parts)
+        assert parts == (rsq + 4 * c1_ky, chi_total_space(n, e)), (c1sq, c2, c2f, s, t)
+
+
+@pytest.mark.parametrize("spec", ALL_SCENARIOS, ids=lambda sc: f"{sc.n}-{sc.case}")
+def test_via_surface_at_bound_equality_gives_the_derived_bound(spec):
+    """With c2 at equality in the case's bound and R^2 from grr, the slope on a
+    base of genus b is the derived bound at g, whatever b and c1^2."""
+    g, n = spec.g, spec.n
+    bound = derived_slope_bound(spec).derived_bound(g)
+    for b, c1sq in product((0, 1, 2), (1, 14, 1000)):
+        c2 = c2_bounds_blowup(spec, c1sq).value
+        c1 = c1_decomposition(g, n, c1sq, SurfaceModel(b))
+        if n == 3:
+            c2e, rsq = c2, trigonal_rsq(BundleData(2, c1, c2))
+        else:
+            c2e = c2e_bound_fourgonal(c1sq, c2)
+            rsq = fourgonal_rsq(BundleData(3, c1, c2e), BundleData(2, c1, c2))
+        assert slope_general_via_surface(g, n, c1sq, c2e, rsq, b).slope == bound, (b, c1sq)
