@@ -20,7 +20,7 @@ from .chern import (BundleData, ChernCharacter, UnsupportedRankError,
 from .chow import (ModelMismatchError, NumClass, SurfaceModel, canonical_class,
                    chi_structure, intersect, self_intersection)
 from .grr import (blownup_c1, blowup_correction, c1_decomposition,
-                  chi_total_space, conics_kernel, exceptional_coefficient,
+                  check_blowups, chi_total_space, conics_kernel, exceptional_coefficient,
                   exceptional_coefficients, fourgonal_rsq, push_2r_bundle,
                   push_ramification, trigonal_rsq, upstairs_pairing)
 from .ratcalc import G, PoleError, Rat, RatFunc, lift, parse_rat
@@ -39,9 +39,9 @@ __all__ = [
     "ScenarioSpec", "SplittingType", "SurfaceModel", "UnsupportedRankError",
     "ZeroChiError", "blownup_c1", "blowup_bound_report", "blowup_correction",
     "c1_decomposition", "c2_bounds_blowup", "c2e_bound_fourgonal",
-    "canonical_class", "check_genus", "chern_character", "chi_structure",
-    "chi_total_space", "compare", "conics_kernel", "derived_slope_bound",
-    "exceptional_coefficient", "exceptional_coefficients",
+    "canonical_class", "check_blowups", "check_genus", "chern_character",
+    "chi_structure", "chi_total_space", "compare", "conics_kernel",
+    "derived_slope_bound", "exceptional_coefficient", "exceptional_coefficients",
     "fourgonal_rearranged", "fourgonal_rsq", "harris_stankova_reference",
     "index_bound", "intersect", "lift", "moduli_conversion", "parse_rat",
     "push_2r_bundle", "push_ramification", "self_intersection",

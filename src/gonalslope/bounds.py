@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .grr import GENUS_FLOOR, blowup_correction
+from .grr import GENUS_FLOOR, ScenarioError, blowup_correction, check_blowups
 from .ratcalc import G, Rat, RatFunc, lift
 from .slope import (fourgonal_blowup_parts, slope_fourgonal, slope_trigonal,
                     trigonal_blowup_parts)
@@ -32,10 +32,6 @@ _MARONI = {
     "factorizing": {4: (lambda g, gamma: g - 1 - 4 * gamma, False)},
 }
 CASES = tuple(_MARONI)
-
-
-class ScenarioError(ValueError):
-    """Inconsistent or unsupported scenario data."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,7 @@ class ScenarioSpec:
 
     def validate_form(self) -> None:
         """The checks that do not depend on g."""
-        if self.n not in GENUS_FLOOR:
-            raise ScenarioError(f"degree must be 3 or 4, got {self.n}")
+        check_blowups(self.n, self.s, self.t)
         if self.case not in CASES:
             raise ScenarioError(f"unknown case {self.case!r}; choose from {CASES}")
         if self.n not in _MARONI[self.case]:
@@ -110,10 +105,6 @@ class ScenarioSpec:
                 raise ScenarioError(f"gamma must be >= 1, got {self.gamma}")
         elif self.gamma is not None:
             raise ScenarioError(f"gamma is only meaningful for factorizing, got {self.case!r}")
-        if self.s < 0 or self.t < 0:
-            raise ScenarioError("blow-up counts must be nonnegative")
-        if self.n == 3 and self.s:
-            raise ScenarioError("degree 3 admits no total-ramification blow-ups")
 
     def genus_problem(self, enforce_floor: bool) -> str | None:
         """Why g does not suit this scenario, or None; assumes validate_form passed."""
@@ -130,16 +121,17 @@ class ScenarioSpec:
 
 
 def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
-    """Integral splitting type attached to the case, or None for index_only.
+    """Integral splitting type attached to the case, or None where it has none.
 
     The case's _split_exprs at the concrete genus.  Where the case only pins
-    a floor (nonfactorizing), the integral type rounds alpha up, while the
-    bound coefficient keeps the exact rational floor.
+    a floor, the integral type rounds alpha up, while the bound coefficient
+    keeps the exact rational floor.
     """
     spec.validate(enforce_genus=False)
-    if spec.case == "index_only":
+    split = _split_exprs(spec, lift(spec.g))
+    if split is None:
         return None
-    d, m, is_floor = _split_exprs(spec, lift(spec.g))
+    d, m, is_floor = split
     alpha = (d - m) / 2
     if is_floor:
         alpha = math.ceil(alpha)
@@ -163,20 +155,21 @@ def _split_exprs(spec: ScenarioSpec, g):
 
 
 def _c2_chain(spec: ScenarioSpec):
-    """The case's c2 lower bound: (coefficient q in Q(g), strict, chain text).
+    """The case's c2 lower bound: (coefficient q in Q(g), correction, strict, chain text).
 
-    The bound reads c2 >= q * (c1^2 + correction) with the correction from
-    _correction(); for degree 4 it lands on c2(F) and then c2(E) through
-    the quarter bound.
+    The bound reads c2 >= q * (c1^2 + correction); for degree 4 it lands on
+    c2(F) and then c2(E) through the quarter bound.  The index route uses no
+    splitting and keeps its bare c1^2, so its correction is 0.
     """
     target = "c2(E)" if spec.n == 3 else "c2(F)"
-    corr = _correction(spec)
     split = _split_exprs(spec, G)
     if split is None:
         # R^2 <= (4/3) c1^2 with R^2 = 2 c1^2 - 3 c2 forces the coefficient
-        q = (2 - Fraction(4, 3)) / 3 + 0 * G
-        return q, False, ("R^2 <= 4/3 * c1^2 with R^2 = 2*c1^2 - 3*c2(E)",
-                          f"{target} >= [{q}] * c1^2")
+        rsq_max = index_bound(3, 1)
+        q = (2 - rsq_max) / 3 + 0 * G
+        return q, Fraction(0), False, (f"R^2 <= {rsq_max} * c1^2 with R^2 = 2*c1^2 - 3*c2(E)",
+                                       f"{target} >= [{q}] * c1^2")
+    corr = blowup_correction(spec.n, spec.s, spec.t)
     d, m, is_floor = split
     alpha = (d - m) / 2
     q = alpha / (2 * d)
@@ -194,14 +187,7 @@ def _c2_chain(spec: ScenarioSpec):
     lines = [origin, f"{target} {rel} [{q}] * ({inside})"]
     if spec.n == 4:
         lines.append("c2(E) >= (c1^2 + c2(F))/4")
-    return q, strict, tuple(lines)
-
-
-def _correction(spec: ScenarioSpec) -> Rat:
-    """Blow-up correction added to c1^2 inside the c2 bound."""
-    if _MARONI[spec.case][spec.n] is None:
-        return Fraction(0)  # the index route keeps its bare c1^2
-    return blowup_correction(spec.n, spec.s, spec.t)
+    return q, corr, strict, tuple(lines)
 
 
 @dataclass(frozen=True)
@@ -218,9 +204,8 @@ class C2Bound:
 def c2_bounds_blowup(spec: ScenarioSpec, c1sq) -> C2Bound:
     """Evaluate the case's c2 lower bound at a concrete c1^2."""
     spec.validate(enforce_genus=False)
-    q, strict, _ = _c2_chain(spec)
+    q, corr, strict, _ = _c2_chain(spec)
     coeff = q(spec.g)
-    corr = _correction(spec)
     target = "c2(E)" if spec.n == 3 else "c2(F)"
     return C2Bound(target, coeff * (lift(c1sq) + corr), coeff, corr, strict)
 
@@ -261,9 +246,9 @@ def stated_closed_form(spec: ScenarioSpec) -> RatFunc:
     return Fraction(16, 3) - 8 / G
 
 
-def _affine_parts(spec: ScenarioSpec, g, q):
+def _affine_parts(spec: ScenarioSpec, g, q, corr):
     """(K_f^2, chi_f) at c1^2 = 0 and their slopes in c1^2 for c2 = q*(c1^2 + corr)."""
-    c2_0 = q * _correction(spec)
+    c2_0 = q * corr
     if spec.n == 3:
         return (trigonal_blowup_parts(g, 0, c2_0, spec.t),
                 trigonal_blowup_parts(g, 1, q, 0))
@@ -283,8 +268,8 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
     if spec.s or spec.t:
         raise ScenarioError("c1^2 does not cancel once s or t is positive; "
                             "use blowup_bound_report")
-    q, strict, chain = _c2_chain(spec)
-    const, _ = _affine_parts(spec, G, q)
+    q, corr, strict, chain = _c2_chain(spec)
+    const, _ = _affine_parts(spec, G, q, corr)
     if not all(x.is_zero() for x in const):
         raise AssertionError(f"c1^2 failed to cancel for {spec}: constant terms {const}")
     derived = (slope_trigonal(G, 1, q) if spec.n == 3
@@ -296,7 +281,7 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
         notes.append(f"stated form differs from the derivation by {disc}")
     if strict:
         notes.append("derived bound is strict (unbalanced splitting)")
-    return BoundResult(spec, q(spec.g), _correction(spec), strict, derived,
+    return BoundResult(spec, q(spec.g), corr, strict, derived,
                        stated, disc, chain, tuple(notes))
 
 
@@ -349,9 +334,9 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     spec.validate(enforce_genus=not allow_out_of_range)
     base = derived_slope_bound(replace(spec, s=0, t=0), allow_out_of_range)
     baseline_at_g = base.derived_bound(spec.g)
-    q, strict, chain = _c2_chain(spec)
-    coeff, corr = q(spec.g), _correction(spec)
-    (kf2_0, chif_0), (kf2_lead, chif_lead) = _affine_parts(spec, spec.g, coeff)
+    q, corr, strict, chain = _c2_chain(spec)
+    coeff = q(spec.g)
+    (kf2_0, chif_0), (kf2_lead, chif_lead) = _affine_parts(spec, spec.g, coeff, corr)
 
     rows = []
     for c1sq in sorted(set(map(lift, c1sq_grid))):

@@ -29,6 +29,8 @@ class SurfaceModel:
     t: int = 0
 
     def __post_init__(self):
+        if not all(type(x) is int for x in (self.b, self.s, self.t)):
+            raise TypeError(f"model data must be ints: {self}")
         if self.b < 0 or self.s < 0 or self.t < 0:
             raise ValueError(f"negative model data: {self}")
         if self.s > _MAX_BLOWUPS or self.t > _MAX_BLOWUPS:

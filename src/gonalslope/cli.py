@@ -24,7 +24,7 @@ from . import __version__
 from . import verify as verify_suite
 from .bounds import (CASES, ScenarioError, ScenarioSpec, blowup_bound_report,
                      compare, derived_slope_bound)
-from .grr import GENUS_FLOOR
+from .grr import GENUS_FLOOR, check_blowups
 from .ratcalc import parse_rat
 from .slope import (ZeroChiError, check_genus, harris_stankova_reference,
                     moduli_conversion, slope_fourgonal_blowup, slope_trigonal_blowup)
@@ -172,10 +172,13 @@ def _merge_scenario(args: argparse.Namespace, data: dict[str, tuple]) -> None:
                 setattr(args, dest, value)
 
 
-def _require(args: argparse.Namespace, attr: str, what: str):
+def _require(args: argparse.Namespace, attr: str):
+    """The option's value; a usage error naming the flag and any file keys if unset."""
     val = getattr(args, attr)
     if val is None:
-        args._sp.error(f"missing {what}")
+        keys = [f"{key}=" for key, (dests, _) in _FILE_KEYS.items() if attr in dests]
+        hint = f" (or {' or '.join(keys)})" if keys else ""
+        args._sp.error(f"missing --{attr.replace('_', '-')}{hint}")
     return val
 
 
@@ -243,14 +246,11 @@ def _emit_rows(fmt: str, columns: list[str], rows: list[list], **fixed) -> None:
 
 
 def cmd_slope(args: argparse.Namespace) -> int:
-    n = _require(args, "n", "--n (or degree= in the scenario file)")
-    g = _require(args, "g", "--g (or genus=)")
-    if n not in GENUS_FLOOR:
-        raise ScenarioError(f"degree must be 3 or 4, got {n}")
+    n = _require(args, "n")
+    g = _require(args, "g")
     s, t = args.s or 0, args.t or 0
-    if s < 0 or t < 0:
-        raise ScenarioError("blow-up counts must be nonnegative")
-    c1sq = _require(args, "c1sq", "--c1sq")
+    check_blowups(n, s, t)
+    c1sq = _require(args, "c1sq")
     notes = []
     note = _genus_note(n, g, args.allow_out_of_range)
     if note:
@@ -258,15 +258,13 @@ def cmd_slope(args: argparse.Namespace) -> int:
     if n == 3:
         if args.c2e is not None or args.c2f is not None:
             args._sp.error("--c2e/--c2f apply to --n 4; degree 3 takes --c2")
-        if s:
-            args._sp.error("--s applies to --n 4 only")
-        c2 = _require(args, "c2", "--c2")
+        c2 = _require(args, "c2")
         inv = slope_trigonal_blowup(g, c1sq, c2, t)
     else:
         if args.c2 is not None:
             args._sp.error("--c2 applies to --n 3; degree 4 takes --c2e and --c2f")
-        c2e = _require(args, "c2e", "--c2e")
-        c2f = _require(args, "c2f", "--c2f")
+        c2e = _require(args, "c2e")
+        c2f = _require(args, "c2f")
         inv = slope_fourgonal_blowup(g, c1sq, c2e, c2f, s, t)
     md = moduli_conversion(inv)
     warn = inv.warning()
@@ -291,9 +289,9 @@ def cmd_slope(args: argparse.Namespace) -> int:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
-    n = _require(args, "n", "--n (or degree= in the scenario file)")
-    g = _require(args, "g", "--g (or genus=)")
-    case = _require(args, "case", "--case (or case=)")
+    n = _require(args, "n")
+    g = _require(args, "g")
+    case = _require(args, "case")
     spec = ScenarioSpec(n, g, _norm_case(case), args.gamma,
                         getattr(args, "s", None) or 0, getattr(args, "t", None) or 0)
     spec.validate_form()
@@ -354,10 +352,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    n = _require(args, "n", "--n (or degree=)")
-    case = _norm_case(_require(args, "case", "--case (or case=)"))
-    g_min = _require(args, "g_min", "--g-min (or genus-range=)")
-    g_max = _require(args, "g_max", "--g-max (or genus-range=)")
+    n = _require(args, "n")
+    case = _norm_case(_require(args, "case"))
+    g_min = _require(args, "g_min")
+    g_max = _require(args, "g_max")
     if g_min > g_max:
         raise ScenarioError(f"empty sweep range: {g_min}..{g_max}")
     spec = ScenarioSpec(n, g_min, case, args.gamma, args.s or 0, args.t or 0)

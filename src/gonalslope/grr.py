@@ -17,10 +17,27 @@ from fractions import Fraction
 
 from .chern import BundleData, sym2, whitney_quotient
 from .chow import NumClass, SurfaceModel, canonical_class, chi_structure, intersect
-from .ratcalc import Rat, lift
+from .ratcalc import Rat, RatFunc, lift
 
 #: lowest fibre genus supported, by cover degree
 GENUS_FLOOR = {3: 5, 4: 10}
+
+
+class ScenarioError(ValueError):
+    """Inconsistent or unsupported scenario data."""
+
+
+def check_blowups(n: int, s: int, t: int) -> None:
+    """Raise ScenarioError unless s total-ramification and t index-3 blow-ups
+    suit a degree-n cover: n is 3 or 4, s and t are ints >= 0 (not bools),
+    and degree 3 has s = 0."""
+    if n not in GENUS_FLOOR:
+        raise ScenarioError(f"degree must be 3 or 4, got {n}")
+    if not all(type(c) is int and c >= 0 for c in (s, t)):
+        raise ScenarioError(f"blow-up counts must be nonnegative integers, got s={s!r}, t={t!r}")
+    if n == 3 and s:
+        raise ScenarioError("degree 3 admits no total-ramification blow-ups")
+
 
 #: intersection of the relative conic/quadric with the pulled-back exceptional
 #: class, by blow-up kind
@@ -94,7 +111,7 @@ def c1_decomposition(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass
     if model.s or model.t:
         raise ValueError("decomposition on the unblown model only")
     d = g + n - 1
-    if d <= 0:
+    if not isinstance(d, RatFunc) and d <= 0:
         raise ValueError(f"fibre degree g+n-1 = {d} must be positive")
     return NumClass(model, d, lift(c1sq) / (2 * d))
 
@@ -126,12 +143,8 @@ def blowup_correction(n: int, s: int, t: int) -> Rat:
     An exceptional class has self-intersection -1, so its coefficient a in c1
     lowers c1^2 by a^2.
     """
-    if n not in GENUS_FLOOR:
-        raise ValueError(f"degree must be 3 or 4, got {n}")
-    if n == 3 and s:
-        raise ValueError("degree 3 admits no total-ramification blow-ups")
-    a1 = _EXCEPTIONAL[(n, "total_ram")] if s else 0
-    return a1 ** 2 * s + _EXCEPTIONAL[(n, "index3")] ** 2 * t
+    check_blowups(n, s, t)
+    return _EXCEPTIONAL.get((n, "total_ram"), 0) ** 2 * s + _EXCEPTIONAL[(n, "index3")] ** 2 * t
 
 
 def blownup_c1(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass:
@@ -141,9 +154,7 @@ def blownup_c1(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass:
     coefficient absorbs blowup_correction() to keep the self-intersection
     at c1sq.
     """
-    correction = blowup_correction(n, model.s, model.t)
     d = g + n - 1
-    a1 = _EXCEPTIONAL[(n, "total_ram")] if model.s else 0
-    a2 = _EXCEPTIONAL[(n, "index3")]
-    fcoef = (lift(c1sq) + correction) / (2 * d)
-    return NumClass(model, d, fcoef, (a1,) * model.s, (a2,) * model.t)
+    fcoef = (lift(c1sq) + blowup_correction(n, model.s, model.t)) / (2 * d)
+    return NumClass(model, d, fcoef, (_EXCEPTIONAL.get((n, "total_ram"), 0),) * model.s,
+                    (_EXCEPTIONAL[(n, "index3")],) * model.t)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .chern import BundleData
 from .chow import SurfaceModel, canonical_class, intersect
-from .grr import c1_decomposition, chi_total_space
+from .grr import c1_decomposition, check_blowups, chi_total_space
 from .ratcalc import G, Rat, RatFunc, lift
 
 
@@ -63,6 +63,8 @@ def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
     K_f^2 = R^2 - 4c1^2/(g+n-1) and chi_f = (g+n-2)/(2(g+n-1)) c1^2 - c2,
     plus 3g/(2(g+n-1)) per E' and (g+n-3)/(g+n-1) per E''.
     """
+    if s or t:
+        check_blowups(n, s, t)
     g, n, c1sq, c2, rsq, s, t = map(lift, (g, n, c1sq, c2, rsq, s, t))
     d = g + n - 1
     chif = (g + n - 2) / (2 * d) * c1sq - c2
@@ -135,6 +137,7 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
     direct quotient is smaller by 4*(blow-up terms)/chi_f, so only the
     direct route is used for bounds.
     """
+    check_blowups(4, s, t)
     g, c1sq, c2f, s, t = map(lift, (g, c1sq, c2f, s, t))
     num = c2f - 2 * c1sq / (g + 3)
     den = ((g + 1) / (4 * (g + 3)) * c1sq - c2f / 4

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gonalslope import verify
-from gonalslope.bounds import (ScenarioError, ScenarioSpec, SplittingType, _c2_chain,
+from gonalslope.bounds import (_MARONI, ScenarioError, ScenarioSpec, SplittingType,
+                               _c2_chain,
                                blowup_bound_report, c2_bounds_blowup,
                                c2e_bound_fourgonal, compare,
                                derived_slope_bound, index_bound,
@@ -91,6 +92,7 @@ def test_scenario_floor_relaxable():
     (ScenarioSpec(4, 12, "general_even"), 7, 8),
     (ScenarioSpec(4, 13, "nonfactorizing"), 6, 10),
     (ScenarioSpec(4, 20, "factorizing", gamma=2), 6, 17),
+    (ScenarioSpec(4, 10, "index_only"), 4, 9),
 ])
 def test_splitting_for_scenario(spec, alpha, beta):
     st = splitting_for_scenario(spec)
@@ -99,6 +101,27 @@ def test_splitting_for_scenario(spec, alpha, beta):
 
 def test_splitting_for_index_only():
     assert splitting_for_scenario(ScenarioSpec(3, 5, "index_only")) is None
+
+
+#: one scenario for each table entry with an exact (not floor) splitting type
+EXACT_SPLIT_SPECS = [
+    ScenarioSpec(3, 11, "general_odd"), ScenarioSpec(3, 12, "general_even"),
+    ScenarioSpec(4, 11, "general_odd"), ScenarioSpec(4, 12, "general_even"),
+    ScenarioSpec(4, 20, "factorizing", gamma=2), ScenarioSpec(4, 31, "factorizing", gamma=4),
+]
+
+
+def test_exact_split_specs_cover_the_table():
+    exact = {(n, case) for case, by_degree in _MARONI.items()
+             for n, entry in by_degree.items() if entry is not None and not entry[1]}
+    assert {(spec.n, spec.case) for spec in EXACT_SPLIT_SPECS} == exact
+
+
+@pytest.mark.parametrize("spec", EXACT_SPLIT_SPECS, ids=str)
+def test_exact_splitting_gives_the_c2_coefficient(spec):
+    res = derived_slope_bound(spec)
+    assert weak_positivity_bound(splitting_for_scenario(spec), 1) == \
+        (res.c2_coefficient, res.strict)
 
 
 def test_trigonal_maroni_invariants():

@@ -11,6 +11,7 @@ from gonalslope.chow import (ModelMismatchError, NumClass, SurfaceModel,
                              self_intersection)
 from gonalslope.grr import blownup_c1
 from gonalslope.ratcalc import G
+from gonalslope.slope import slope_general_via_surface
 
 
 def rand_class(rng: random.Random, m: SurfaceModel) -> NumClass:
@@ -26,6 +27,18 @@ def test_model_validation():
         SurfaceModel(0, -2, 0)
     with pytest.raises(ValueError):
         SurfaceModel(0, 0, 10_001)
+
+
+@pytest.mark.parametrize("data", [(0.5,), (Fraction(1),), (0, True, 0), (0, 0, False),
+                                  (0, Fraction(1, 2), 0)], ids=repr)
+def test_model_refuses_non_int_data(data):
+    with pytest.raises(TypeError, match="must be ints"):
+        SurfaceModel(*data)
+
+
+def test_non_int_base_genus_refused_through_slope():
+    with pytest.raises(TypeError):
+        slope_general_via_surface(10, 3, 14, 3, 2, Fraction(1, 2))
 
 
 def test_generator_products():

@@ -93,6 +93,33 @@ def test_slope_missing_flag_exits_1_with_usage(capsys):
     assert "usage:" in err and "--c2" in err
 
 
+def test_degree_3_total_ramification_refused_alike(capsys):
+    base = ["--n", "3", "--g", "5", "--s", "1"]
+    errors = []
+    for argv in (["slope", *base, "--c1sq", "14", "--c2", "3"],
+                 ["report", *base, "--case", "general-odd"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        errors.append(err)
+    assert errors == ["error: degree 3 admits no total-ramification blow-ups\n"] * 2
+
+
+@pytest.mark.parametrize("argv,hint", [
+    (["slope", "--g", "5", "--c1sq", "14", "--c2", "3"], "missing --n (or degree=)"),
+    (["bound", "--n", "3", "--case", "index-only"], "missing --g (or genus=)"),
+    (["report", "--n", "3", "--g", "5"], "missing --case (or case=)"),
+    (["sweep", "--n", "3", "--case", "index-only", "--g-max", "9"],
+     "missing --g-min (or genus= or genus-range=)"),
+    (["sweep", "--n", "3", "--case", "index-only", "--g-min", "5"],
+     "missing --g-max (or genus= or genus-range=)"),
+    (["slope", "--n", "3", "--g", "5", "--c2", "3"], "missing --c1sq\n"),
+])
+def test_missing_option_names_its_scenario_keys(argv, hint, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert hint in err
+
+
 def test_slope_rejects_mixed_degree_flags(capsys):
     code, _, err = run_cli(["slope", "--n", "3", "--g", "5", "--c1sq", "14",
                             "--c2", "1", "--c2f", "1"], capsys)

@@ -7,16 +7,21 @@ from itertools import product
 
 import pytest
 
-from gonalslope.bounds import c2_bounds_blowup, c2e_bound_fourgonal, derived_slope_bound
+import gonalslope
+from gonalslope import bounds, grr
+from gonalslope.bounds import (ScenarioSpec, c2_bounds_blowup, c2e_bound_fourgonal,
+                               derived_slope_bound)
 from gonalslope.chern import BundleData
 from gonalslope.chow import SurfaceModel, canonical_class, intersect, self_intersection
-from gonalslope.grr import (blownup_c1, blowup_correction, c1_decomposition,
-                            chi_total_space, conics_kernel,
+from gonalslope.grr import (ScenarioError, blownup_c1, blowup_correction,
+                            c1_decomposition, check_blowups, chi_total_space, conics_kernel,
                             exceptional_coefficient, exceptional_coefficients,
                             fourgonal_rsq, push_2r_bundle, push_ramification,
                             trigonal_rsq, upstairs_pairing)
 from gonalslope.ratcalc import G, RatFunc
-from gonalslope.slope import (fourgonal_blowup_parts, slope_general_via_surface,
+from gonalslope.slope import (fourgonal_blowup_parts, fourgonal_rearranged,
+                              slope_fourgonal_blowup, slope_general,
+                              slope_general_via_surface, slope_trigonal_blowup,
                               trigonal_blowup_parts)
 from gonalslope.verify import ALL_SCENARIOS
 
@@ -118,6 +123,17 @@ def test_c1_decomposition():
         c1_decomposition(5, 3, 14, SurfaceModel(0, 0, 1))
 
 
+@pytest.mark.parametrize("n", (3, 4))
+def test_c1_decomposition_at_symbolic_genus(n):
+    for c1sq in (1, Fraction(7, 3)):
+        m = SurfaceModel(1)
+        assert c1_decomposition(G, n, c1sq, m) == blownup_c1(G, n, c1sq, m)
+        c2, rsq = Fraction(-2, 5), Fraction(3, 2)
+        for b in (0, 1, 2):
+            assert (slope_general_via_surface(G, n, c1sq, c2, rsq, b)
+                    == slope_general(G, n, c1sq, c2, rsq)), (c1sq, b)
+
+
 def test_exceptional_coefficients_solved():
     assert exceptional_coefficient(3, "index3") == -2
     assert exceptional_coefficient(4, "total_ram") == -3
@@ -134,6 +150,43 @@ def test_blowup_correction_sums_squared_coefficients():
         blowup_correction(5, 0, 1)
     with pytest.raises(ValueError, match="no total-ramification"):
         blowup_correction(3, 1, 0)
+
+
+def test_scenario_error_has_one_home():
+    assert gonalslope.ScenarioError is bounds.ScenarioError is grr.ScenarioError
+    assert issubclass(ScenarioError, ValueError)
+
+
+def test_check_blowups_accepts_counts():
+    for n, s, t in ((3, 0, 0), (3, 0, 5), (4, 0, 0), (4, 2, 3)):
+        check_blowups(n, s, t)
+    with pytest.raises(ScenarioError, match="degree must be 3 or 4"):
+        check_blowups(5, 0, 0)
+
+
+#: every public entry taking blow-up counts, as a call with one count set to x
+BLOWUP_ENTRIES = {
+    "slope_trigonal_blowup": lambda x: slope_trigonal_blowup(7, 14, 3, x),
+    "trigonal_blowup_parts": lambda x: trigonal_blowup_parts(7, 14, 3, x),
+    "slope_fourgonal_blowup.s": lambda x: slope_fourgonal_blowup(11, 20, 9, 6, x, 1),
+    "slope_fourgonal_blowup.t": lambda x: slope_fourgonal_blowup(11, 20, 9, 6, 1, x),
+    "fourgonal_blowup_parts.s": lambda x: fourgonal_blowup_parts(11, 20, 9, 6, x, 1),
+    "fourgonal_blowup_parts.t": lambda x: fourgonal_blowup_parts(11, 20, 9, 6, 1, x),
+    "fourgonal_rearranged.s": lambda x: fourgonal_rearranged(11, 20, 6, x, 1),
+    "fourgonal_rearranged.t": lambda x: fourgonal_rearranged(11, 20, 6, 1, x),
+    "blowup_correction.s": lambda x: blowup_correction(4, x, 1),
+    "blowup_correction.t": lambda x: blowup_correction(4, 1, x),
+    "ScenarioSpec.validate.s": lambda x: ScenarioSpec(4, 11, "general_odd", s=x).validate(),
+    "ScenarioSpec.validate.t": lambda x: ScenarioSpec(3, 11, "general_odd", t=x).validate(),
+}
+
+
+@pytest.mark.parametrize("bad", (-1, Fraction(1, 2), True), ids=repr)
+@pytest.mark.parametrize("entry", BLOWUP_ENTRIES)
+def test_blowup_counts_gated_at_every_entry(entry, bad):
+    BLOWUP_ENTRIES[entry](1)  # a count of 1 is fine
+    with pytest.raises(ScenarioError, match="nonnegative"):
+        BLOWUP_ENTRIES[entry](bad)
 
 
 def test_blownup_c1_roundtrip_and_pairings():
