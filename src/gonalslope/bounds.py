@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .grr import GENUS_FLOOR, ScenarioError, blowup_correction, check_blowups
 from .ratcalc import G, Rat, RatFunc, lift
-from .slope import (fourgonal_blowup_parts, slope_fourgonal, slope_trigonal,
-                    trigonal_blowup_parts)
+from .slope import (check_genus, fourgonal_blowup_parts, slope_fourgonal,
+                    slope_trigonal, trigonal_blowup_parts)
 
 #: case -> degree -> (m = beta - alpha as a function of (g, gamma), is_floor),
 #: or None for the degree-3 index route, which uses no splitting.  A case
@@ -36,7 +36,7 @@ CASES = tuple(_MARONI)
 
 @dataclass(frozen=True)
 class SplittingType:
-    """Splitting degrees 0 < alpha <= beta of the restricted bundle."""
+    """Splitting degrees 0 < alpha <= beta; the order is checked at a concrete genus only."""
 
     alpha: Rat
     beta: Rat
@@ -44,7 +44,8 @@ class SplittingType:
     def __post_init__(self):
         object.__setattr__(self, "alpha", lift(self.alpha))
         object.__setattr__(self, "beta", lift(self.beta))
-        if not 0 < self.alpha <= self.beta:
+        symbolic = isinstance(self.alpha, RatFunc) or isinstance(self.beta, RatFunc)
+        if not symbolic and not 0 < self.alpha <= self.beta:
             raise ValueError(f"need 0 < alpha <= beta, got ({self.alpha}, {self.beta})")
 
     def maroni(self) -> Rat:
@@ -54,7 +55,7 @@ class SplittingType:
 def weak_positivity_bound(st: SplittingType, c1sq) -> tuple[Rat, bool]:
     """Lower bound alpha/(2(alpha+beta)) * c1sq on c2, strict unless balanced."""
     coeff = st.alpha / (2 * (st.alpha + st.beta))
-    return coeff * lift(c1sq), st.alpha < st.beta
+    return coeff * lift(c1sq), st.alpha != st.beta
 
 
 def index_bound(n: int, c1sq) -> Rat:
@@ -74,7 +75,7 @@ def c2e_bound_fourgonal(c1sq, c2f):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Cover degree, fibre genus, case tag, and blow-up counts (s, t)."""
+    """Cover degree, fibre genus, case tag, blow-up counts (s, t); form checked when made."""
 
     n: int
     g: int
@@ -83,16 +84,11 @@ class ScenarioSpec:
     s: int = 0
     t: int = 0
 
-    def validate(self, enforce_genus: bool = True) -> None:
-        """Raise ScenarioError on any inconsistency; enforce_genus=False skips the floor."""
-        self.validate_form()
-        problem = self.genus_problem(enforce_floor=enforce_genus)
-        if problem:
-            raise ScenarioError(problem)
-
-    def validate_form(self) -> None:
-        """The checks that do not depend on g."""
+    def __post_init__(self):
         check_blowups(self.n, self.s, self.t)
+        if not (type(self.n) is type(self.g) is int and type(self.gamma) in (int, type(None))):
+            raise ScenarioError(f"n, g and gamma must be integers, got n={self.n!r}, "
+                                f"g={self.g!r}, gamma={self.gamma!r}")
         if self.case not in CASES:
             raise ScenarioError(f"unknown case {self.case!r}; choose from {CASES}")
         if self.n not in _MARONI[self.case]:
@@ -106,14 +102,24 @@ class ScenarioSpec:
         elif self.gamma is not None:
             raise ScenarioError(f"gamma is only meaningful for factorizing, got {self.case!r}")
 
+    def validate(self, enforce_genus: bool = True) -> None:
+        """Raise ScenarioError unless g suits the spec; enforce_genus=False skips the floor."""
+        problem = self.genus_problem(enforce_floor=enforce_genus)
+        if problem:
+            raise ScenarioError(problem)
+
     def genus_problem(self, enforce_floor: bool) -> str | None:
-        """Why g does not suit this scenario, or None; assumes validate_form passed."""
+        """Why g does not suit this scenario, or None."""
         g = self.g
+        try:
+            check_genus(g)
+        except ValueError as exc:
+            return str(exc)
         if self.case == "factorizing" and 6 * self.gamma + 3 >= g:
             return f"factorizing needs gamma < (g-3)/6: gamma={self.gamma}, g={g}"
-        split = _split_exprs(self, g)
-        if split and not split[2] and (split[0] - split[1]) % 2:
-            # alpha = (d - m)/2 is integral only at the other parity of g
+        split = _splitting(self, g)
+        if split and not split[2] and split[0].denominator != 1:
+            # an exact alpha = (g+n-1-m)/2 is integral only at one parity of g
             return f"{self.case} needs {'even' if g % 2 else 'odd'} g, got {g}"
         if enforce_floor and g < GENUS_FLOOR[self.n]:
             return f"genus {g} below floor {GENUS_FLOOR[self.n]} for degree {self.n}"
@@ -123,35 +129,36 @@ class ScenarioSpec:
 def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
     """Integral splitting type attached to the case, or None where it has none.
 
-    The case's _split_exprs at the concrete genus.  Where the case only pins
+    The case's _splitting at the concrete genus.  Where the case only pins
     a floor, the integral type rounds alpha up, while the bound coefficient
     keeps the exact rational floor.
     """
     spec.validate(enforce_genus=False)
-    split = _split_exprs(spec, lift(spec.g))
+    split = _splitting(spec, spec.g)
     if split is None:
         return None
-    d, m, is_floor = split
-    alpha = (d - m) / 2
-    if is_floor:
-        alpha = math.ceil(alpha)
-    st = SplittingType(alpha, d - alpha)
+    alpha, beta, is_floor = split
+    up = math.ceil(alpha) - alpha if is_floor else 0
+    st = SplittingType(alpha + up, beta - up)
     if spec.n == 4 and st.alpha < 4:
         raise ScenarioError(f"degree-4 splitting needs alpha >= 4, got {st.alpha}")
     return st
 
 
-def _split_exprs(spec: ScenarioSpec, g):
-    """(d, m, is_floor) at genus g; None for the trigonal index case.
+def _splitting(spec: ScenarioSpec, g):
+    """(alpha, beta, is_floor) at genus g; None for the trigonal index case.
 
-    d = g+n-1 = alpha + beta is the fibre degree and m = beta - alpha, so
-    alpha = (d - m)/2.  g may be symbolic, so floors stay exact rationals.
+    alpha + beta = g+n-1 is the fibre degree and beta - alpha the case's
+    Maroni invariant m.  g is an int or symbolic; halving by a Fraction keeps
+    both exact.
     """
     entry = _MARONI[spec.case][spec.n]
     if entry is None:
         return None
     maroni, is_floor = entry
-    return g + (spec.n - 1), maroni(g, spec.gamma), is_floor
+    d = g + (spec.n - 1)
+    alpha = Fraction(1, 2) * (d - maroni(g, spec.gamma))
+    return alpha, d - alpha, is_floor
 
 
 def _c2_chain(spec: ScenarioSpec):
@@ -162,7 +169,7 @@ def _c2_chain(spec: ScenarioSpec):
     splitting and keeps its bare c1^2, so its correction is 0.
     """
     target = "c2(E)" if spec.n == 3 else "c2(F)"
-    split = _split_exprs(spec, G)
+    split = _splitting(spec, G)
     if split is None:
         # R^2 <= (4/3) c1^2 with R^2 = 2 c1^2 - 3 c2 forces the coefficient
         rsq_max = index_bound(3, 1)
@@ -170,14 +177,13 @@ def _c2_chain(spec: ScenarioSpec):
         return q, Fraction(0), False, (f"R^2 <= {rsq_max} * c1^2 with R^2 = 2*c1^2 - 3*c2(E)",
                                        f"{target} >= [{q}] * c1^2")
     corr = blowup_correction(spec.n, spec.s, spec.t)
-    d, m, is_floor = split
-    alpha = (d - m) / 2
-    q = alpha / (2 * d)
-    strict = not is_floor and _split_exprs(spec, spec.g)[1] > 0
+    alpha, beta, is_floor = split
+    q, unbalanced = weak_positivity_bound(SplittingType(alpha, beta), 1)
+    strict = unbalanced and not is_floor  # a floor on alpha leaves the type open
     if is_floor:
-        origin = f"splitting floor alpha >= {alpha} out of alpha + beta = {d}"
+        origin = f"splitting floor alpha >= {alpha} out of alpha + beta = {alpha + beta}"
     else:
-        origin = f"splitting alpha = {alpha} and beta = {alpha + m}"
+        origin = f"splitting alpha = {alpha} and beta = {beta}"
     rel = ">" if strict else ">="
     inside = "c1^2"
     if corr:
@@ -285,16 +291,12 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
                        stated, disc, chain, tuple(notes))
 
 
-def compare(spec: ScenarioSpec, sample_offsets: tuple[int, ...] = (0, 2, 20, 200),
-            allow_out_of_range: bool = False) -> BoundResult:
-    """derived_slope_bound plus evaluations of both bounds at sample genera."""
+def compare(spec: ScenarioSpec, allow_out_of_range: bool = False) -> BoundResult:
+    """derived_slope_bound plus both bounds at the sample genera g, g+2, g+20, g+200."""
     res = derived_slope_bound(spec, allow_out_of_range)
-    rows = []
-    for off in sample_offsets:
-        gval = spec.g + off
-        rows.append((gval, res.derived_bound(gval),
-                     res.stated_bound(gval) if res.stated_bound is not None else None))
-    return replace(res, samples=tuple(rows))
+    genera = [spec.g + off for off in (0, 2, 20, 200)]
+    return replace(res, samples=tuple((g, res.derived_bound(g), res.stated_bound(g))
+                                      for g in genera))
 
 
 # -- blow-up reports: c1^2 no longer cancels, so sweep it over a grid --------

@@ -182,20 +182,20 @@ def _require(args: argparse.Namespace, attr: str):
     return val
 
 
-def _genus_note(n: int, g: int, allow: bool) -> str | None:
-    """The genus gate: None from the degree's floor up.
+def _genus_notes(n: int, g: int, allow: bool) -> list[str]:
+    """The genus gate: no notes from the degree's floor up.
 
     Below the floor it refuses, or under --allow-out-of-range returns the note
     to print, once check_genus has refused a genus below 1.
     """
     floor = GENUS_FLOOR[n]
     if g >= floor:
-        return None
+        return []
     if not allow:
         raise ScenarioError(f"genus {g} below floor {floor} for degree {n}; "
                             "pass --allow-out-of-range to compute anyway")
     check_genus(g)
-    return f"out-of-range: genus {g} below floor {floor}"
+    return [f"out-of-range: genus {g} below floor {floor}"]
 
 
 # -- output writers ----------------------------------------------------------
@@ -205,6 +205,12 @@ def _print_kv(pairs: list[tuple[str, str]]) -> None:
     width = max(len(k) for k, _ in pairs)
     for key, value in pairs:
         print(f"{key.ljust(width)} = {value}")
+
+
+def _labelled(fields) -> list[tuple[str, str]]:
+    """Table pairs from a command's fields: (key, table label, value, with decimal)."""
+    return [(label, f"{_fmt(v)} (~ {_approx(v)})" if approx else _fmt(v))
+            for _, label, v, approx in fields]
 
 
 def _print_block(title: str, lines) -> None:
@@ -251,10 +257,7 @@ def cmd_slope(args: argparse.Namespace) -> int:
     s, t = args.s or 0, args.t or 0
     check_blowups(n, s, t)
     c1sq = _require(args, "c1sq")
-    notes = []
-    note = _genus_note(n, g, args.allow_out_of_range)
-    if note:
-        notes.append(note)
+    notes = _genus_notes(n, g, args.allow_out_of_range)
     if n == 3:
         if args.c2e is not None or args.c2f is not None:
             args._sp.error("--c2e/--c2f apply to --n 4; degree 3 takes --c2")
@@ -292,62 +295,55 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
     n = _require(args, "n")
     g = _require(args, "g")
     case = _require(args, "case")
-    spec = ScenarioSpec(n, g, _norm_case(case), args.gamma,
+    return ScenarioSpec(n, g, _norm_case(case), args.gamma,
                         getattr(args, "s", None) or 0, getattr(args, "t", None) or 0)
-    spec.validate_form()
-    return spec
+
+
+def _scenario_fields(spec: ScenarioSpec, *keys: str) -> list[tuple[str, object]]:
+    """(key, value) of n, g, case, gamma and then the given keys of the spec."""
+    return [(k, getattr(spec, k)) for k in ("n", "g", "case", "gamma", *keys)]
+
+
+def _scenario_text(spec: ScenarioSpec, *keys: str) -> str:
+    """'n=... g=... case=...' with gamma where it is set, then the given keys."""
+    return " ".join(f"{k}={v}" for k, v in _scenario_fields(spec, *keys) if v is not None)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     spec = _scenario_from_args(args)
-    notes = []
-    oor = _genus_note(spec.n, spec.g, args.allow_out_of_range)
+    notes = _genus_notes(spec.n, spec.g, args.allow_out_of_range)
     res = compare(spec, allow_out_of_range=args.allow_out_of_range)
-    if oor:
-        notes.append(oor)
-    notes.extend(res.notes)
+    notes += res.notes
     g = spec.g
-    dvg, svg = res.derived_bound(g), res.stated_bound(g)
-    disc_g = res.discrepancy(g)
     ref = harris_stankova_reference(spec.n, g)
-    scalars = [
-        ("n", spec.n), ("g", g), ("case", spec.case), ("gamma", spec.gamma),
-        ("derived", res.derived_bound), ("derived_at_g", dvg),
-        ("stated", res.stated_bound), ("stated_at_g", svg),
-        ("discrepancy", res.discrepancy), ("discrepancy_at_g", disc_g),
-        ("strict", res.strict), ("c2_coefficient", res.c2_coefficient),
-        ("correction", res.correction), ("reference_at_g", ref),
+    fields = [
+        ("derived", "derived bound", res.derived_bound, False),
+        ("derived_at_g", f"derived at g={g}", res.derived_bound(g), True),
+        ("stated", "stated bound", res.stated_bound, False),
+        ("stated_at_g", f"stated at g={g}", res.stated_bound(g), True),
+        ("discrepancy", "discrepancy", res.discrepancy, False),
+        ("discrepancy_at_g", f"discrepancy at g={g}", res.discrepancy(g), False),
+        ("strict", "strict", res.strict, False),
+        ("c2_coefficient", "c2 coefficient at g", res.c2_coefficient, False),
+        ("correction", "correction", res.correction, False),
+        ("reference_at_g", f"reference F_{spec.n}({g})", ref, True),
     ]
+    values = _scenario_fields(spec) + [(k, v) for k, _, v, _ in fields]
     fmt = args.format or "table"
     if fmt == "table":
-        head = f"n={spec.n} g={g} case={spec.case}"
-        if spec.gamma is not None:
-            head += f" gamma={spec.gamma}"
-        pairs = [("scenario", head),
-                 ("derived bound", _fmt(res.derived_bound)),
-                 (f"derived at g={g}", f"{_fmt(dvg)} (~ {_approx(dvg)})"),
-                 ("stated bound", _fmt(res.stated_bound)),
-                 (f"stated at g={g}", f"{_fmt(svg)} (~ {_approx(svg)})"),
-                 ("discrepancy", _fmt(res.discrepancy)),
-                 (f"discrepancy at g={g}", _fmt(disc_g)),
-                 ("strict", _fmt(res.strict)),
-                 ("c2 coefficient at g", _fmt(res.c2_coefficient)),
-                 ("correction", _fmt(res.correction)),
-                 (f"reference F_{spec.n}({g})", f"{_fmt(ref)} (~ {_approx(ref)})")]
-        _print_kv(pairs)
+        _print_kv([("scenario", _scenario_text(spec))] + _labelled(fields))
         _print_block("chain", res.chain)
         if notes:
             _print_block("notes", notes)
         _print_block("samples (g derived stated)",
                      (f"{gv}  {_fmt(dv)}  {_fmt(sv)}" for gv, dv, sv in res.samples))
     elif fmt == "csv":
-        columns = [k for k, _ in scalars] + ["chain", "notes"]
-        row = [_fmt(v) for _, v in scalars] + [" | ".join(res.chain), "; ".join(notes)]
-        _print_csv(columns, [row])
+        _print_csv([k for k, _ in values] + ["chain", "notes"],
+                   [[_fmt(v) for _, v in values] + [" | ".join(res.chain), "; ".join(notes)]])
     else:
         samples = [{"g": gv, "derived": _fmt(dv), "stated": _fmt(sv)}
                    for gv, dv, sv in res.samples]
-        _print_jsonl([dict(scalars, chain=res.chain, notes=notes, samples=samples)])
+        _print_jsonl([dict(values, chain=res.chain, notes=notes, samples=samples)])
     return EXIT_OK
 
 
@@ -359,8 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if g_min > g_max:
         raise ScenarioError(f"empty sweep range: {g_min}..{g_max}")
     spec = ScenarioSpec(n, g_min, case, args.gamma, args.s or 0, args.t or 0)
-    spec.validate_form()
-    _genus_note(n, g_min, args.allow_out_of_range)  # rows tag out-of-range themselves
+    _genus_notes(n, g_min, args.allow_out_of_range)  # rows tag out-of-range themselves
     specs = [replace(spec, g=g) for g in range(g_min, g_max + 1)]
     specs = [sp for sp in specs if sp.genus_problem(enforce_floor=False) is None]
     if not specs:
@@ -380,36 +375,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     spec = _scenario_from_args(args)
-    oor = _genus_note(spec.n, spec.g, args.allow_out_of_range)
+    notes = _genus_notes(spec.n, spec.g, args.allow_out_of_range)
     grid = args.c1sq_grid if args.c1sq_grid is not None else DEFAULT_GRID
     rep = blowup_bound_report(spec, grid, allow_out_of_range=args.allow_out_of_range)
     columns = ["c1sq", "c2_bound", "kf2", "chif", "slope", "verdict"]
     rows = [[r.c1sq, r.c2_bound, r.kf2, r.chif, r.slope, r.verdict] for r in rep.rows]
-    scen = f"n={spec.n} g={spec.g} case={spec.case}"
-    if spec.gamma is not None:
-        scen += f" gamma={spec.gamma}"
-    scen += f" s={spec.s} t={spec.t}"
+    fields = [
+        ("scenario", "scenario", _scenario_text(spec, "s", "t"), False),
+        ("baseline", "baseline (s=t=0)", rep.baseline, False),
+        ("baseline_at_g", f"baseline at g={spec.g}", rep.baseline_at_g, False),
+        ("minimum", "minimum over grid", rep.minimum, False),
+        ("limit", "limit c1sq -> oo", rep.limit, False),
+        ("admissible_from", "admissible for c1sq >", rep.admissible_from, False),
+        ("strict", "strict", rep.strict, False),
+    ]
 
     fmt = args.format or "table"
     if fmt == "table":
-        pairs = [("scenario", scen),
-                 ("baseline (s=t=0)", _fmt(rep.baseline)),
-                 (f"baseline at g={spec.g}", _fmt(rep.baseline_at_g)),
-                 ("minimum over grid", _fmt(rep.minimum)),
-                 ("limit c1sq -> oo", _fmt(rep.limit)),
-                 ("admissible for c1sq >", _fmt(rep.admissible_from)),
-                 ("strict", _fmt(rep.strict))]
-        if oor:
-            pairs.append(("note", oor))
-        _print_kv(pairs)
+        _print_kv(_labelled(fields) + [("note", note) for note in notes])
         _print_block("chain", rep.chain)
         print()
     elif fmt == "jsonl":
-        _print_jsonl([{"record": "meta", "scenario": scen, "baseline": rep.baseline,
-                       "baseline_at_g": rep.baseline_at_g, "minimum": rep.minimum,
-                       "limit": rep.limit, "admissible_from": rep.admissible_from,
-                       "strict": rep.strict, "chain": rep.chain,
-                       "notes": [oor] if oor else []}])
+        _print_jsonl([{"record": "meta", **{k: v for k, _, v, _ in fields},
+                       "chain": rep.chain, "notes": notes}])
     _emit_rows(fmt, columns, rows, record="row")
     return EXIT_OK
 

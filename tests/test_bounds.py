@@ -78,6 +78,57 @@ def test_scenario_validation_rejects(kwargs, message):
     assert message in str(err.value)
 
 
+#: scenarios whose n, g or gamma is no int; each used to derive a bound or crash
+NON_INT_SCENARIOS = {
+    "n=3.0": lambda: derived_slope_bound(ScenarioSpec(3.0, 11, "general_odd")),
+    "n=Fraction(4)": lambda: derived_slope_bound(ScenarioSpec(Fraction(4), 11, "general_odd")),
+    "gamma=3/2": lambda: derived_slope_bound(ScenarioSpec(4, 20, "factorizing",
+                                                          gamma=Fraction(3, 2))),
+    "gamma=True": lambda: derived_slope_bound(ScenarioSpec(4, 20, "factorizing", gamma=True)),
+    "g=Fraction(11)": lambda: derived_slope_bound(ScenarioSpec(3, Fraction(11),
+                                                               "general_odd")),
+    "g=True": lambda: ScenarioSpec(3, True, "general_odd").validate(enforce_genus=False),
+    "g=11.0": lambda: ScenarioSpec(3, 11.0, "general_odd"),
+}
+
+
+@pytest.mark.parametrize("name", NON_INT_SCENARIOS)
+def test_scenario_refuses_non_int_genus_and_gamma(name):
+    with pytest.raises(ScenarioError, match="n, g and gamma must be integers"):
+        NON_INT_SCENARIOS[name]()
+
+
+def test_scenario_form_checked_at_construction():
+    with pytest.raises(ScenarioError, match="unknown case"):
+        ScenarioSpec(3, 11, "mystery")
+    with pytest.raises(ScenarioError, match="only meaningful"):
+        replace(ScenarioSpec(4, 11, "general_odd"), gamma=1)
+
+
+#: library entries that take a scenario, each reached with g = 0
+GENUS_ZERO_ENTRIES = {
+    "blowup_bound_report": lambda: blowup_bound_report(
+        ScenarioSpec(3, 0, "general_even", t=1), [14], allow_out_of_range=True),
+    "derived_slope_bound": lambda: derived_slope_bound(
+        ScenarioSpec(3, 0, "general_even"), allow_out_of_range=True),
+    "c2_bounds_blowup": lambda: c2_bounds_blowup(ScenarioSpec(3, 0, "general_even"), 14),
+    "splitting_for_scenario": lambda: splitting_for_scenario(
+        ScenarioSpec(4, 0, "factorizing", gamma=1)),
+}
+
+
+@pytest.mark.parametrize("name", GENUS_ZERO_ENTRIES)
+def test_genus_below_one_refused_by_the_library(name):
+    with pytest.raises(ScenarioError, match=r"^genus must be positive, got 0$"):
+        GENUS_ZERO_ENTRIES[name]()
+
+
+def test_genus_below_one_reported_first():
+    assert (ScenarioSpec(4, -1, "factorizing", gamma=1).genus_problem(enforce_floor=False)
+            == "genus must be positive, got -1")
+    assert ScenarioSpec(3, 1, "general_odd").genus_problem(enforce_floor=False) is None
+
+
 def test_scenario_floor_relaxable():
     spec = ScenarioSpec(4, 9, "nonfactorizing")
     with pytest.raises(ScenarioError):
@@ -101,6 +152,17 @@ def test_splitting_for_scenario(spec, alpha, beta):
 
 def test_splitting_for_index_only():
     assert splitting_for_scenario(ScenarioSpec(3, 5, "index_only")) is None
+
+
+def test_degree_4_splitting_needs_alpha_4():
+    with pytest.raises(ScenarioError, match="degree-4 splitting needs alpha >= 4, got 2"):
+        splitting_for_scenario(ScenarioSpec(4, 1, "general_odd"))
+
+
+def test_symbolic_splitting_type_skips_the_order_check():
+    st = SplittingType((G + 2) / 2, (G + 4) / 2)
+    assert st.maroni() == 1
+    assert weak_positivity_bound(st, 1) == ((G + 2) / (4 * (G + 3)), True)
 
 
 #: one scenario for each table entry with an exact (not floor) splitting type
@@ -210,9 +272,11 @@ def test_blowups_rejected_by_closed_form_derivation():
 
 
 def test_compare_samples():
-    res = compare(ScenarioSpec(3, 5, "general_odd"), sample_offsets=(0, 2))
+    res = compare(ScenarioSpec(3, 5, "general_odd"))
     assert res.samples == ((5, Fraction(11, 3), Fraction(11, 3)),
-                           (7, Fraction(4), Fraction(4)))
+                           (7, Fraction(4), Fraction(4)),
+                           (25, Fraction(61, 13), Fraction(61, 13)),
+                           (205, Fraction(511, 103), Fraction(511, 103)))
 
 
 def test_blowup_report_criterion_point():

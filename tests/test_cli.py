@@ -40,6 +40,10 @@ GOLDEN_RUNS = {
                                              "--c1sq-grid=-1/2,14"],
     "sweep_n4_general_even_10_60": ["sweep", "--n", "4", "--case", "general-even",
                                     "--g-min", "10", "--g-max", "60"],
+    "bound_n3_general_even_4_oor": ["bound", "--n", "3", "--g", "4", "--case",
+                                    "general-even", "--allow-out-of-range"],
+    "report_n3_general_even_4_t1_oor": ["report", "--n", "3", "--g", "4", "--case",
+                                        "general-even", "--t", "1", "--allow-out-of-range"],
 }
 
 
@@ -125,6 +129,13 @@ def test_slope_rejects_mixed_degree_flags(capsys):
                             "--c2", "1", "--c2f", "1"], capsys)
     assert code == 1
     assert "--c2e/--c2f" in err
+
+
+def test_slope_rejects_degree_3_flag_in_degree_4(capsys):
+    code, out, err = run_cli(["slope", "--n", "4", "--g", "11", "--c1sq", "20",
+                              "--c2", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err.endswith("error: --c2 applies to --n 3; degree 4 takes --c2e and --c2f\n")
 
 
 def test_slope_rejects_inexact_literal(capsys):
@@ -626,6 +637,17 @@ def test_verify_exit_codes_via_stub(capsys, monkeypatch):
     code, _, err = run_cli(["verify"], capsys)
     assert code == 2
     assert "stub identity" in err
+
+
+def test_verify_run_reports_a_raising_check(monkeypatch):
+    def broken():
+        raise AssertionError("identity refuted")
+
+    monkeypatch.setattr(cli.verify_suite, "CHECKS",
+                        [("stub ok", lambda: None), ("stub identity", broken)])
+    lines = []
+    assert cli.verify_suite.run(out=lines.append) == ["stub identity"]
+    assert lines == ["ok   stub ok", "FAIL stub identity: AssertionError: identity refuted"]
 
 
 def test_internal_check_failure_exits_4(capsys, monkeypatch):

@@ -121,6 +121,8 @@ def test_c1_decomposition():
     assert self_intersection(c1) == 14
     with pytest.raises(ValueError):
         c1_decomposition(5, 3, 14, SurfaceModel(0, 0, 1))
+    with pytest.raises(ValueError, match=r"fibre degree g\+n-1 = -1 must be positive"):
+        c1_decomposition(-3, 3, 1, SurfaceModel())
 
 
 @pytest.mark.parametrize("n", (3, 4))
