@@ -85,10 +85,10 @@ class ScenarioSpec:
     t: int = 0
 
     def __post_init__(self):
-        check_blowups(self.n, self.s, self.t)
         if not (type(self.n) is type(self.g) is int and type(self.gamma) in (int, type(None))):
             raise ScenarioError(f"n, g and gamma must be integers, got n={self.n!r}, "
                                 f"g={self.g!r}, gamma={self.gamma!r}")
+        check_blowups(self.n, self.s, self.t)
         if self.case not in CASES:
             raise ScenarioError(f"unknown case {self.case!r}; choose from {CASES}")
         if self.n not in _MARONI[self.case]:
@@ -108,17 +108,17 @@ class ScenarioSpec:
         if problem:
             raise ScenarioError(problem)
 
-    def genus_problem(self, enforce_floor: bool) -> str | None:
-        """Why g does not suit this scenario, or None."""
-        g = self.g
+    def genus_problem(self, enforce_floor: bool, g: int | None = None) -> str | None:
+        """Why genus g (by default the spec's own) does not suit this scenario, or None."""
+        g = self.g if g is None else g
         try:
             check_genus(g)
         except ValueError as exc:
             return str(exc)
         if self.case == "factorizing" and 6 * self.gamma + 3 >= g:
             return f"factorizing needs gamma < (g-3)/6: gamma={self.gamma}, g={g}"
-        split = _splitting(self, g)
-        if split and not split[2] and split[0].denominator != 1:
+        maroni, is_floor = _MARONI[self.case][self.n] or (None, True)
+        if not is_floor and (g + self.n - 1 - maroni(g, self.gamma)) % 2:
             # an exact alpha = (g+n-1-m)/2 is integral only at one parity of g
             return f"{self.case} needs {'even' if g % 2 else 'odd'} g, got {g}"
         if enforce_floor and g < GENUS_FLOOR[self.n]:

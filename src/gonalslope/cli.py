@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -356,17 +357,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(f"empty sweep range: {g_min}..{g_max}")
     spec = ScenarioSpec(n, g_min, case, args.gamma, args.s or 0, args.t or 0)
     _genus_notes(n, g_min, args.allow_out_of_range)  # rows tag out-of-range themselves
-    specs = [replace(spec, g=g) for g in range(g_min, g_max + 1)]
-    specs = [sp for sp in specs if sp.genus_problem(enforce_floor=False) is None]
-    if not specs:
+    genera = [g for g in range(g_min, g_max + 1)
+              if spec.genus_problem(enforce_floor=False, g=g) is None]
+    if not genera:
         raise ScenarioError(f"empty sweep range: no admissible g in {g_min}..{g_max}")
 
     # the bound is one function of g per case: derive it once, evaluate per row;
     # so is strictness, as beta - alpha is 0, 1 or g - 4*gamma - 1 > 0 here
-    res = derived_slope_bound(specs[0], allow_out_of_range=True)
-    rows = [[sp.g, res.derived_bound(sp.g), res.stated_bound(sp.g), res.discrepancy(sp.g),
-             harris_stankova_reference(n, sp.g), res.strict,
-             "" if sp.g >= GENUS_FLOOR[n] else "out-of-range"] for sp in specs]
+    res = derived_slope_bound(replace(spec, g=genera[0]), allow_out_of_range=True)
+    rows = [[g, res.derived_bound(g), res.stated_bound(g), res.discrepancy(g),
+             harris_stankova_reference(n, g), res.strict,
+             "" if g >= GENUS_FLOOR[n] else "out-of-range"] for g in genera]
 
     columns = ["g", "derived", "stated", "discrepancy", "reference", "strict", "tag"]
     _emit_rows(args.format or "table", columns, rows)
@@ -477,14 +478,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser main uses; parse_args leaves no state on it."""
+    return build_parser()
+
+
 def _error(message, code: int) -> int:
     print(_LONG_QUOTED.sub(_shorten, f"error: {message}"), file=sys.stderr)
     return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the exit code is returned, or raised by argparse as SystemExit.
+
+    The parser is built once per process: every call gets a fresh Namespace,
+    and help text is formatted, at the terminal width of the moment, when it
+    is printed.
+    """
+    args = _parser().parse_args(argv)
     try:
         if args.scenario:
             _merge_scenario(args, load_scenario_file(args.scenario))

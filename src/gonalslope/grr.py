@@ -29,9 +29,9 @@ class ScenarioError(ValueError):
 
 def check_blowups(n: int, s: int, t: int) -> None:
     """Raise ScenarioError unless s total-ramification and t index-3 blow-ups
-    suit a degree-n cover: n is 3 or 4, s and t are ints >= 0 (not bools),
-    and degree 3 has s = 0."""
-    if n not in GENUS_FLOOR:
+    suit a degree-n cover: n is the int 3 or 4, s and t are ints >= 0 (not
+    bools), and degree 3 has s = 0."""
+    if type(n) is not int or n not in GENUS_FLOOR:
         raise ScenarioError(f"degree must be 3 or 4, got {n}")
     if not all(type(c) is int and c >= 0 for c in (s, t)):
         raise ScenarioError(f"blow-up counts must be nonnegative integers, got s={s!r}, t={t!r}")

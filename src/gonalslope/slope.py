@@ -174,15 +174,15 @@ def slope_fourgonal_blowup(g, c1sq, c2e, c2f, s, t) -> FibrationInvariants:
 def harris_stankova_reference(n: int, g=None):
     """Reference slope profile 6 - 2/(n-1) - 2n/g for degree-n covers.
 
-    Returns a RatFunc in g, or its exact value when a genus is supplied.
+    Returns a RatFunc in g, or its exact value, in Fractions, when a genus
+    is supplied.
     """
     if n < 2:
         raise ValueError(f"reference profile needs n >= 2, got {n}")
-    prof = 6 - Fraction(2, n - 1) - 2 * n / G
     if g is None:
-        return prof
+        return 6 - Fraction(2, n - 1) - 2 * n / G
     check_genus(g)
-    return prof(g)
+    return 6 - Fraction(2, n - 1) - Fraction(2 * n) / g
 
 
 def check_genus(g) -> None:

@@ -4,21 +4,23 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gonalslope import verify
-from gonalslope.bounds import (_MARONI, ScenarioError, ScenarioSpec, SplittingType,
-                               _c2_chain,
+from gonalslope.bounds import (_MARONI, CASES, ScenarioError, ScenarioSpec,
+                               SplittingType, _c2_chain, _splitting,
                                blowup_bound_report, c2_bounds_blowup,
                                c2e_bound_fourgonal, compare,
                                derived_slope_bound, index_bound,
                                splitting_for_scenario, stated_closed_form,
                                weak_positivity_bound)
+from gonalslope.grr import GENUS_FLOOR
 from gonalslope.ratcalc import G, RatFunc
-from gonalslope.slope import (fourgonal_blowup_parts, harris_stankova_reference,
+from gonalslope.slope import (check_genus, fourgonal_blowup_parts, harris_stankova_reference,
                               slope_fourgonal, slope_trigonal, trigonal_blowup_parts)
 
 
@@ -96,6 +98,33 @@ NON_INT_SCENARIOS = {
 def test_scenario_refuses_non_int_genus_and_gamma(name):
     with pytest.raises(ScenarioError, match="n, g and gamma must be integers"):
         NON_INT_SCENARIOS[name]()
+
+
+def _splitting_genus_problem(spec, g, enforce_floor):
+    """genus_problem as it read through the Fraction-valued _splitting."""
+    try:
+        check_genus(g)
+    except ValueError as exc:
+        return str(exc)
+    if spec.case == "factorizing" and 6 * spec.gamma + 3 >= g:
+        return f"factorizing needs gamma < (g-3)/6: gamma={spec.gamma}, g={g}"
+    split = _splitting(spec, g)
+    if split and not split[2] and split[0].denominator != 1:
+        return f"{spec.case} needs {'even' if g % 2 else 'odd'} g, got {g}"
+    if enforce_floor and g < GENUS_FLOOR[spec.n]:
+        return f"genus {g} below floor {GENUS_FLOOR[spec.n]} for degree {spec.n}"
+    return None
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_integer_parity_matches_splitting_oracle(case):
+    gammas = range(1, 5) if case == "factorizing" else (None,)
+    for n, gamma, enforce_floor in product(_MARONI[case], gammas, (False, True)):
+        spec = ScenarioSpec(n, 1, case, gamma)
+        for g in range(1, 301):
+            expected = _splitting_genus_problem(spec, g, enforce_floor)
+            assert spec.genus_problem(enforce_floor, g=g) == expected
+            assert replace(spec, g=g).genus_problem(enforce_floor) == expected
 
 
 def test_scenario_form_checked_at_construction():

@@ -628,6 +628,43 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
+def test_parser_reuse_keeps_no_state(tmp_path, capsys, monkeypatch, child_env):
+    """A sequence of main calls in one process on one parser, each as if run alone."""
+    parser = cli._parser()
+    assert cli.build_parser() is not cli.build_parser() is not parser
+    sc = tmp_path / "sc.txt"
+    sc.write_text("degree=4\ngenus=11\ncase=general-odd\nformat=jsonl\n")
+    slope = SLOPE_EXAMPLE
+    bound = ["bound", "--n", "4", "--g", "11", "--case", "general-odd"]
+    sweep = ["sweep", "--n", "3", "--case", "general-even", "--g-min", "5", "--g-max", "12"]
+    report = ["report", "--n", "3", "--g", "5", "--case", "general-odd", "--t", "1"]
+    calls = [  # (argv, COLUMNS)
+        *((cmd + ["--format", fmt], "80") for cmd in (slope, bound, sweep, report)
+          for fmt in cli.FORMATS),
+        (["verify"], "80"),
+        (["bound", "--scenario", str(sc)], "80"),
+        (["bound", "--scenario", str(sc), "--g", "13", "--format", "csv"], "80"),
+        (["sweep", "--n", "3", "--case", "general-even", "--g-min", "x"], "80"),
+        (sweep, "80"),
+        (["report", "--help"], "60"),
+        (["report", "--help"], "120"),
+        (slope, "80"),
+    ]
+    in_process = []
+    for argv, columns in calls:
+        monkeypatch.setenv("COLUMNS", columns)
+        in_process.append(run_cli(argv, capsys))
+    for (argv, columns), result in zip(calls, in_process):
+        alone = subprocess.run([sys.executable, "-m", "gonalslope", *argv],
+                               capture_output=True, text=True,
+                               env=dict(child_env, COLUMNS=columns))
+        assert result == (alone.returncode, alone.stdout, alone.stderr), argv
+    codes = [code for code, _, _ in in_process]
+    assert codes.count(1) == 1 and codes.count(0) == len(calls) - 1
+    assert in_process[-3] != in_process[-2]  # help wraps to each call's own width
+    assert cli._parser() is parser
+
+
 def test_verify_exit_codes_via_stub(capsys, monkeypatch):
     monkeypatch.setattr(cli.verify_suite, "run", lambda out=print: [])
     code, out, _ = run_cli(["verify"], capsys)

@@ -166,6 +166,22 @@ def test_check_blowups_accepts_counts():
         check_blowups(5, 0, 0)
 
 
+#: the blow-up gate and the grr entries built on it, as a call with the degree set to x
+DEGREE_ENTRIES = {
+    "check_blowups": lambda x: check_blowups(x, 0, 0),
+    "blowup_correction": lambda x: blowup_correction(x, 0, 1),
+    "blownup_c1": lambda x: blownup_c1(10, x, 1, SurfaceModel(0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("bad", (4.0, Fraction(3), True), ids=repr)
+@pytest.mark.parametrize("entry", DEGREE_ENTRIES)
+def test_degree_gated_as_an_int(entry, bad):
+    DEGREE_ENTRIES[entry](4)  # the int degree is fine
+    with pytest.raises(ScenarioError, match=f"degree must be 3 or 4, got {bad}"):
+        DEGREE_ENTRIES[entry](bad)
+
+
 #: every public entry taking blow-up counts, as a call with one count set to x
 BLOWUP_ENTRIES = {
     "slope_trigonal_blowup": lambda x: slope_trigonal_blowup(7, 14, 3, x),

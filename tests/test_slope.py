@@ -156,3 +156,11 @@ def test_harris_stankova_reference():
         harris_stankova_reference(1)
     with pytest.raises(ValueError):
         harris_stankova_reference(3, 0)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_harris_stankova_reference_at_g_is_the_profile_at_g(n):
+    profile = harris_stankova_reference(n)
+    for g in range(1, 501):
+        value = harris_stankova_reference(n, g)
+        assert type(value) is Fraction and value == profile(g)
