@@ -6,8 +6,8 @@ alpha + beta = g+n-1, stated once in the table _MARONI by its Maroni
 invariant m = beta - alpha.  The splitting gives a lower bound on the
 relevant second Chern class; substituting that bound into the slope formulas
 gives the derived bound as an exact rational function of g.  The stated
-closed forms are kept separately and never reused in the derivation, so
-their difference is an honest discrepancy report.
+closed forms are kept separately, in _STATED, and never reused in the
+derivation, so their difference is an honest discrepancy report.
 """
 from __future__ import annotations
 
@@ -32,6 +32,18 @@ _MARONI = {
     "factorizing": {4: (lambda g, gamma: g - 1 - 4 * gamma, False)},
 }
 CASES = tuple(_MARONI)
+
+#: case -> degree -> the stated closed form as a function of gamma, keyed as
+#: _MARONI is.  Transcribed from the statements, never read by the derivation.
+_STATED = {
+    "index_only": {3: lambda gamma: 24 * (G - 1) / (5 * G + 1),
+                   4: lambda gamma: RatFunc.const(4)},
+    "general_odd": {3: lambda gamma: 5 - 8 / (G + 1),
+                    4: lambda gamma: Fraction(16, 3) - 16 / (3 * (3 * G + 1))},
+    "general_even": {3: lambda gamma: 5 - 6 / G, 4: lambda gamma: Fraction(16, 3) - 8 / G},
+    "nonfactorizing": {4: lambda gamma: 24 * (G - 1) / (5 * G + 3)},
+    "factorizing": {4: lambda gamma: 4 + 4 * (gamma - 1) / (G - gamma)},
+}
 
 
 @dataclass(frozen=True)
@@ -235,21 +247,7 @@ class BoundResult:
 def stated_closed_form(spec: ScenarioSpec) -> RatFunc:
     """The claimed closed form for the scenario's bound, transcribed verbatim."""
     spec.validate(enforce_genus=False)
-    if spec.n == 3:
-        if spec.case == "index_only":
-            return 24 * (G - 1) / (5 * G + 1)
-        if spec.case == "general_odd":
-            return 5 - 8 / (G + 1)
-        return 5 - 6 / G
-    if spec.case == "index_only":
-        return RatFunc.const(4)
-    if spec.case == "nonfactorizing":
-        return 24 * (G - 1) / (5 * G + 3)
-    if spec.case == "factorizing":
-        return 4 + 4 * (spec.gamma - 1) / (G - spec.gamma)
-    if spec.case == "general_odd":
-        return Fraction(16, 3) - 16 / (3 * (3 * G + 1))
-    return Fraction(16, 3) - 8 / G
+    return _STATED[spec.case][spec.n](spec.gamma)
 
 
 def _affine_parts(spec: ScenarioSpec, g, q, corr):

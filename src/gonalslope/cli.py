@@ -137,25 +137,29 @@ def load_scenario_file(path: str) -> dict[str, tuple]:
     """
     data: dict[str, tuple] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq:
-                raise ScenarioError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            if key not in _FILE_KEYS:
-                raise ScenarioError(f"{path}:{lineno}: unknown key {key!r} "
-                                    f"(known: {' '.join(_FILE_KEYS)})")
-            if key in data:
-                raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
-            dests, parse = _FILE_KEYS[key]
-            try:
-                parsed = parse(value)
-            except (ScenarioError, ValueError) as exc:
-                raise ScenarioError(f"{path}:{lineno}: {exc}") from None
-            data[key] = parsed if len(dests) > 1 else (parsed,)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not eq:
+            raise ScenarioError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in _FILE_KEYS:
+            raise ScenarioError(f"{path}:{lineno}: unknown key {key!r} "
+                                f"(known: {' '.join(_FILE_KEYS)})")
+        if key in data:
+            raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
+        dests, parse = _FILE_KEYS[key]
+        try:
+            parsed = parse(value)
+        except (ScenarioError, ValueError) as exc:
+            raise ScenarioError(f"{path}:{lineno}: {exc}") from None
+        data[key] = parsed if len(dests) > 1 else (parsed,)
     return data
 
 
@@ -296,8 +300,7 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
     n = _require(args, "n")
     g = _require(args, "g")
     case = _require(args, "case")
-    return ScenarioSpec(n, g, _norm_case(case), args.gamma,
-                        getattr(args, "s", None) or 0, getattr(args, "t", None) or 0)
+    return ScenarioSpec(n, g, _norm_case(case), args.gamma, args.s or 0, args.t or 0)
 
 
 def _scenario_fields(spec: ScenarioSpec, *keys: str) -> list[tuple[str, object]]:

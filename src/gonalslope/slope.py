@@ -2,8 +2,9 @@
 
 All formulas work uniformly over exact rationals and over RatFunc, so a
 genus can be left symbolic.  K_f^2 and chi_f are written once, in _parts;
-the degree-3 and degree-4 entry points only supply R^2.  The slope is their
-quotient, with a zero chi_f reported as an explicit error.
+the degree-3 and degree-4 blow-up parts only supply R^2, and the s = t = 0
+entry points delegate to the blow-up ones.  The slope is their quotient,
+with a zero chi_f reported as an explicit error.
 """
 from __future__ import annotations
 
@@ -35,11 +36,13 @@ class FibrationInvariants:
     slope: Rat | RatFunc
 
     def warning(self) -> str | None:
-        """Flag numeric slopes outside the admissible interval (0, 12]."""
+        """Flag a numeric slope outside the admissible interval (0, 12], else a negative chi_f."""
         if isinstance(self.slope, RatFunc):
             return None
         if not 0 < self.slope <= 12:
             return f"slope {self.slope} outside (0, 12]"
+        if self.chif < 0:
+            return f"chi_f {self.chif} is negative"
         return None
 
 
@@ -75,14 +78,6 @@ def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
     return rsq - 4 * c1sq / d, chif
 
 
-def _trigonal_parts(g, c1sq, c2, t=0):
-    return _parts(g, 3, c1sq, c2, 2 * c1sq - 3 * c2, t=t)
-
-
-def _fourgonal_parts(g, c1sq, c2e, c2f, s=0, t=0):
-    return _parts(g, 4, c1sq, c2e, 2 * c1sq - 4 * c2e + c2f, s, t)
-
-
 def _invariants(kf2, chif) -> FibrationInvariants:
     return FibrationInvariants(kf2, chif, _ratio(kf2, chif))
 
@@ -109,24 +104,13 @@ def slope_general_via_surface(g: int, n: int, c1sq, c2, rsq, b: int) -> Fibratio
 
 
 def slope_trigonal(g, c1sq, c2) -> FibrationInvariants:
-    """Triple-cover invariants: K_f^2 = 2g/(g+2) c1^2 - 3c2."""
-    return _invariants(*_trigonal_parts(g, c1sq, c2))
+    """Triple-cover invariants: slope_trigonal_blowup at t = 0."""
+    return slope_trigonal_blowup(g, c1sq, c2, 0)
 
 
 def slope_fourgonal(g, c1sq, c2e, c2f) -> FibrationInvariants:
-    """Quadruple-cover invariants: K_f^2 = 2(g+1)/(g+3) c1^2 - 4c2(E) + c2(F).
-
-    When c2(E) saturates (c1^2 + c2(F))/4 the slope also comes out of the
-    rearrangement around 4; both routes are checked against each other.
-    """
-    inv = _invariants(*_fourgonal_parts(g, c1sq, c2e, c2f))
-    c1sq, c2e, c2f = map(lift, (c1sq, c2e, c2f))
-    if c2e == (c1sq + c2f) / 4:
-        alt = fourgonal_rearranged(g, c1sq, c2f)
-        if alt != inv.slope:
-            raise AssertionError("rearranged quadruple-cover slope disagrees "
-                                 f"with the direct quotient: {alt} vs {inv.slope}")
-    return inv
+    """Quadruple-cover invariants: slope_fourgonal_blowup at s = t = 0."""
+    return slope_fourgonal_blowup(g, c1sq, c2e, c2f, 0, 0)
 
 
 def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
@@ -146,29 +130,32 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
 
 
 def trigonal_blowup_parts(g, c1sq, c2, t):
-    """(K_f^2, chi_f) with t index-three fibres blown down; no quotient taken."""
-    return _trigonal_parts(g, c1sq, c2, t)
+    """(K_f^2, chi_f) with t index-three fibres blown down, from R^2 = 2c1^2 - 3c2."""
+    return _parts(g, 3, c1sq, c2, 2 * c1sq - 3 * c2, t=t)
 
 
 def slope_trigonal_blowup(g, c1sq, c2, t) -> FibrationInvariants:
-    """Triple-cover invariants with t index-three fibres blown down.
-
-    K_f^2 is unchanged in terms of the blown-up Chern data; chi_f gains
-    g/(g+2) per blow-up.  t = 0 reduces to slope_trigonal.
-    """
-    return _invariants(*_trigonal_parts(g, c1sq, c2, t))
+    """Triple-cover invariants with t index-three fibres blown down; K_f^2 is
+    unchanged in the blown-up Chern data and chi_f gains g/(g+2) per blow-up."""
+    return _invariants(*trigonal_blowup_parts(g, c1sq, c2, t))
 
 
 def fourgonal_blowup_parts(g, c1sq, c2e, c2f, s, t):
-    """(K_f^2, chi_f) with s total-ramification and t index-three blow-ups."""
-    return _fourgonal_parts(g, c1sq, c2e, c2f, s, t)
+    """(K_f^2, chi_f) with s E' and t E'' blown down, from R^2 = 2c1^2 - 4c2(E) + c2(F)."""
+    return _parts(g, 4, c1sq, c2e, 2 * c1sq - 4 * c2e + c2f, s, t)
 
 
 def slope_fourgonal_blowup(g, c1sq, c2e, c2f, s, t) -> FibrationInvariants:
     """Quadruple-cover invariants on the blown-up model; chi_f gains
-    3g/(2(g+3)) per E' and (g+1)/(g+3) per E''.  s = t = 0 reduces to
-    slope_fourgonal."""
-    return _invariants(*_fourgonal_parts(g, c1sq, c2e, c2f, s, t))
+    3g/(2(g+3)) per E' and (g+1)/(g+3) per E''.  At s = t = 0 with c2(E) =
+    (c1^2 + c2(F))/4, fourgonal_rearranged must give the same slope."""
+    inv = _invariants(*fourgonal_blowup_parts(g, c1sq, c2e, c2f, s, t))
+    if not (s or t) and lift(c2e) == (lift(c1sq) + lift(c2f)) / 4:
+        alt = fourgonal_rearranged(g, c1sq, c2f)
+        if alt != inv.slope:
+            raise AssertionError("rearranged quadruple-cover slope disagrees "
+                                 f"with the direct quotient: {alt} vs {inv.slope}")
+    return inv
 
 
 def harris_stankova_reference(n: int, g=None):

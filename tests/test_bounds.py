@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gonalslope import verify
-from gonalslope.bounds import (_MARONI, CASES, ScenarioError, ScenarioSpec,
+from gonalslope.bounds import (_MARONI, _STATED, CASES, ScenarioError, ScenarioSpec,
                                SplittingType, _c2_chain, _splitting,
                                blowup_bound_report, c2_bounds_blowup,
                                c2e_bound_fourgonal, compare,
@@ -357,6 +357,12 @@ def test_stated_closed_forms_transcription():
     assert stated_closed_form(ScenarioSpec(4, 10, "general_even")) == \
         Fraction(16, 3) - 8 / G
     assert stated_closed_form(ScenarioSpec(4, 10, "index_only")) == 4
+
+
+def test_stated_table_keys_match_maroni():
+    # a new case states its closed form for exactly the degrees it applies to
+    assert ({case: sorted(by_degree) for case, by_degree in _STATED.items()}
+            == {case: sorted(by_degree) for case, by_degree in _MARONI.items()})
 
 
 # -- oracles: the per-probe and per-point routes the affine substitution replaced --

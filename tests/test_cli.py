@@ -244,6 +244,28 @@ def test_slope_csv_quotes_note_with_comma(capsys):
     assert out.splitlines()[1].endswith(',"slope 23 outside (0, 12]"')
 
 
+@pytest.mark.parametrize("fmt,line", [
+    ("table", "note    = chi_f -1 is negative"),
+    ("csv", "-1,-1,1,11,-11,-1.000000,-1.000000,1.000000,11.000000,-11.000000,"
+            "chi_f -1 is negative"),
+], ids=("table", "csv"))
+def test_slope_note_on_negative_chi(fmt, line, capsys):
+    # K_f^2 = chi_f = -1: the slope 1 lies in (0, 12], the sign of chi_f does not
+    code, out, err = run_cli(["slope", "--n", "3", "--g", "5", "--c1sq", "14",
+                              "--c2", "7", "--format", fmt], capsys)
+    assert code == 0, err
+    assert out.splitlines()[-1] == line
+
+
+def test_slope_rearranged_self_check_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(gonalslope.slope, "fourgonal_rearranged", lambda *args: Fraction(-1))
+    code, out, err = run_cli(["slope", "--n", "4", "--g", "11", "--c1sq", "20",
+                              "--c2e", "6", "--c2f", "4"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "internal check failed: rearranged quadruple-cover slope disagrees" in err
+
+
 @pytest.mark.parametrize("argv,g", [
     (["slope", "--n", "3", "--g", "-3", "--c1sq", "14", "--c2", "1"], -3),
     (["slope", "--n", "3", "--g", "-2", "--c1sq", "14", "--c2", "1"], -2),
@@ -560,10 +582,11 @@ def test_scenario_file_grid_for_report(tmp_path, capsys):
     ("format=yaml\n", "format"),
     ("genus-range=10-14\n", "genus-range"),
     ("c1sq-grid=14,,20\n", "empty entry"),
+    (b"# caf\xe9\ndegree=3\n", "sc.txt: 'utf-8' codec can't decode byte 0xe9"),
 ])
 def test_scenario_file_rejects_bad_content(tmp_path, capsys, content, fragment):
     sc = tmp_path / "sc.txt"
-    sc.write_text(content)
+    sc.write_bytes(content if isinstance(content, bytes) else content.encode())
     argv = ["sweep", "--scenario", str(sc), "--n", "3", "--case", "index-only",
             "--g-min", "5", "--g-max", "6"]
     code, _, err = run_cli(argv, capsys)

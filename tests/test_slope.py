@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gonalslope import slope
 from gonalslope.ratcalc import G, RatFunc
 from gonalslope.slope import (FibrationInvariants, ZeroChiError,
                               fourgonal_rearranged, harris_stankova_reference,
@@ -117,6 +118,26 @@ def test_rearranged_route_agrees_when_saturated():
         assert fourgonal_rearranged(g, c1sq, c2f) == inv.slope
 
 
+def test_rearranged_self_check_fires_only_at_s_t_zero(monkeypatch):
+    calls = []
+
+    def disagreeing(*args):
+        calls.append(args)
+        return Fraction(-1)
+
+    monkeypatch.setattr(slope, "fourgonal_rearranged", disagreeing)
+    saturated = (11, 20, 6, 4)  # c2(E) = (c1^2 + c2(F))/4
+    with pytest.raises(AssertionError, match="rearranged quadruple-cover slope disagrees"):
+        slope_fourgonal(*saturated)
+    with pytest.raises(AssertionError, match="rearranged quadruple-cover slope disagrees"):
+        slope_fourgonal_blowup(*saturated, 0, 0)
+    assert len(calls) == 2
+    # with blow-ups the rearranged form is a display only, never a check
+    slope_fourgonal_blowup(*saturated, 1, 0)
+    slope_fourgonal_blowup(*saturated, 0, 1)
+    assert len(calls) == 2
+
+
 def test_rearranged_blowup_form_exceeds_direct():
     g, c1sq, c2f, s, t = 11, Fraction(40), Fraction(5), 1, 2
     c2e = (c1sq + c2f) / 4
@@ -144,6 +165,11 @@ def test_warning_outside_admissible_interval():
     assert "13" in bad.warning()
     neg = FibrationInvariants(Fraction(-1), Fraction(1), Fraction(-1))
     assert neg.warning() is not None
+    # a negative chi_f is flagged only where the interval note is silent
+    neg_chi = FibrationInvariants(Fraction(-1), Fraction(-1), Fraction(1))
+    assert neg_chi.warning() == "chi_f -1 is negative"
+    both = FibrationInvariants(Fraction(1), Fraction(-1), Fraction(-1))
+    assert both.warning() == "slope -1 outside (0, 12]"
 
 
 def test_harris_stankova_reference():
