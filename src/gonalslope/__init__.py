@@ -6,8 +6,9 @@ genus); no floats enter any derivation.  The layers, bottom up: ratcalc
 (exact arithmetic), chow (intersection numbers on ruled surfaces and their
 blow-ups), chern (Chern class calculus), grr (direct-image invariants and
 the two R^2 routes), slope (fibration invariants), bounds (case-by-case
-derived bounds next to their stated closed forms), cli/verify (interface
-and the cross-module identity suite).
+derived bounds next to their stated closed forms), verify (the
+cross-module identity suite), cli (interface).  Each layer imports only the
+layers before it.
 """
 from .bounds import (BlowupReport, BlowupRow, BoundResult, C2Bound, ScenarioError,
                      ScenarioSpec, SplittingType, blowup_bound_report,

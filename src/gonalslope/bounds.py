@@ -130,11 +130,19 @@ class ScenarioSpec:
         if self.case == "factorizing" and 6 * self.gamma + 3 >= g:
             return f"factorizing needs gamma < (g-3)/6: gamma={self.gamma}, g={g}"
         maroni, is_floor = _MARONI[self.case][self.n] or (None, True)
-        if not is_floor and (g + self.n - 1 - maroni(g, self.gamma)) % 2:
+        d = g + self.n - 1
+        if not is_floor and (d - maroni(g, self.gamma)) % 2:
             # an exact alpha = (g+n-1-m)/2 is integral only at one parity of g
             return f"{self.case} needs {'even' if g % 2 else 'odd'} g, got {g}"
         if enforce_floor and g < GENUS_FLOOR[self.n]:
             return f"genus {g} below floor {GENUS_FLOOR[self.n]} for degree {self.n}"
+        if maroni:
+            # the integral type: alpha = (g+n-1-m)/2, rounded up where m is a floor
+            alpha = -((maroni(g, self.gamma) - d) // 2)
+            if alpha > d - alpha:
+                return f"{self.case} splitting needs alpha <= beta, got ({alpha}, {d - alpha})"
+            if self.n == 4 and alpha < 4:
+                return f"degree-4 splitting needs alpha >= 4, got {alpha}"
         return None
 
 
@@ -143,7 +151,8 @@ def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
 
     The case's _splitting at the concrete genus.  Where the case only pins
     a floor, the integral type rounds alpha up, while the bound coefficient
-    keeps the exact rational floor.
+    keeps the exact rational floor.  A type that cannot exist is refused by
+    spec.validate at any genus.
     """
     spec.validate(enforce_genus=False)
     split = _splitting(spec, spec.g)
@@ -151,10 +160,7 @@ def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
         return None
     alpha, beta, is_floor = split
     up = math.ceil(alpha) - alpha if is_floor else 0
-    st = SplittingType(alpha + up, beta - up)
-    if spec.n == 4 and st.alpha < 4:
-        raise ScenarioError(f"degree-4 splitting needs alpha >= 4, got {st.alpha}")
-    return st
+    return SplittingType(alpha + up, beta - up)
 
 
 def _splitting(spec: ScenarioSpec, g):
@@ -174,10 +180,10 @@ def _splitting(spec: ScenarioSpec, g):
 
 
 def _c2_chain(spec: ScenarioSpec):
-    """The case's c2 lower bound: (coefficient q in Q(g), correction, strict, chain text).
+    """The case's c2 lower bound: (q in Q(g), correction, strict, chain text, target).
 
-    The bound reads c2 >= q * (c1^2 + correction); for degree 4 it lands on
-    c2(F) and then c2(E) through the quarter bound.  The index route uses no
+    The bound reads target >= q * (c1^2 + correction); the degree-4 target
+    c2(F) reaches c2(E) through the quarter bound.  The index route uses no
     splitting and keeps its bare c1^2, so its correction is 0.
     """
     target = "c2(E)" if spec.n == 3 else "c2(F)"
@@ -187,7 +193,7 @@ def _c2_chain(spec: ScenarioSpec):
         rsq_max = index_bound(3, 1)
         q = (2 - rsq_max) / 3 + 0 * G
         return q, Fraction(0), False, (f"R^2 <= {rsq_max} * c1^2 with R^2 = 2*c1^2 - 3*c2(E)",
-                                       f"{target} >= [{q}] * c1^2")
+                                       f"{target} >= [{q}] * c1^2"), target
     corr = blowup_correction(spec.n, spec.s, spec.t)
     alpha, beta, is_floor = split
     q, unbalanced = weak_positivity_bound(SplittingType(alpha, beta), 1)
@@ -205,7 +211,7 @@ def _c2_chain(spec: ScenarioSpec):
     lines = [origin, f"{target} {rel} [{q}] * ({inside})"]
     if spec.n == 4:
         lines.append("c2(E) >= (c1^2 + c2(F))/4")
-    return q, corr, strict, tuple(lines)
+    return q, corr, strict, tuple(lines), target
 
 
 @dataclass(frozen=True)
@@ -222,9 +228,8 @@ class C2Bound:
 def c2_bounds_blowup(spec: ScenarioSpec, c1sq) -> C2Bound:
     """Evaluate the case's c2 lower bound at a concrete c1^2."""
     spec.validate(enforce_genus=False)
-    q, corr, strict, _ = _c2_chain(spec)
+    q, corr, strict, _, target = _c2_chain(spec)
     coeff = q(spec.g)
-    target = "c2(E)" if spec.n == 3 else "c2(F)"
     return C2Bound(target, coeff * (lift(c1sq) + corr), coeff, corr, strict)
 
 
@@ -250,15 +255,15 @@ def stated_closed_form(spec: ScenarioSpec) -> RatFunc:
     return _STATED[spec.case][spec.n](spec.gamma)
 
 
-def _affine_parts(spec: ScenarioSpec, g, q, corr):
-    """(K_f^2, chi_f) at c1^2 = 0 and their slopes in c1^2 for c2 = q*(c1^2 + corr)."""
-    c2_0 = q * corr
+def _substituted(spec: ScenarioSpec, g, c1sq, c2):
+    """(K_f^2, chi_f) at c1^2 once the c2 bound value c2 is substituted.
+
+    Degree 3 takes c2 as c2(E); degree 4 takes it as c2(F) and reaches c2(E)
+    through c2e_bound_fourgonal.
+    """
     if spec.n == 3:
-        return (trigonal_blowup_parts(g, 0, c2_0, spec.t),
-                trigonal_blowup_parts(g, 1, q, 0))
-    return (fourgonal_blowup_parts(g, 0, c2e_bound_fourgonal(0, c2_0), c2_0,
-                                   spec.s, spec.t),
-            fourgonal_blowup_parts(g, 1, c2e_bound_fourgonal(1, q), q, 0, 0))
+        return trigonal_blowup_parts(g, c1sq, c2, spec.t)
+    return fourgonal_blowup_parts(g, c1sq, c2e_bound_fourgonal(c1sq, c2), c2, spec.s, spec.t)
 
 
 def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) -> BoundResult:
@@ -272,8 +277,8 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
     if spec.s or spec.t:
         raise ScenarioError("c1^2 does not cancel once s or t is positive; "
                             "use blowup_bound_report")
-    q, corr, strict, chain = _c2_chain(spec)
-    const, _ = _affine_parts(spec, G, q, corr)
+    q, corr, strict, chain, _ = _c2_chain(spec)
+    const = _substituted(spec, G, 0, q * corr)
     if not all(x.is_zero() for x in const):
         raise AssertionError(f"c1^2 failed to cancel for {spec}: constant terms {const}")
     derived = (slope_trigonal(G, 1, q) if spec.n == 3
@@ -331,12 +336,14 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     is tagged below/equal/above the blown-down baseline.  The report also
     carries the exact c1^2 -> infinity limit, which recovers that baseline.
     """
-    spec.validate(enforce_genus=not allow_out_of_range)
+    # validates g: the genus rules read neither s nor t
     base = derived_slope_bound(replace(spec, s=0, t=0), allow_out_of_range)
     baseline_at_g = base.derived_bound(spec.g)
-    q, corr, strict, chain = _c2_chain(spec)
+    q, corr, strict, chain, _ = _c2_chain(spec)
     coeff = q(spec.g)
-    (kf2_0, chif_0), (kf2_lead, chif_lead) = _affine_parts(spec, spec.g, coeff, corr)
+    kf2_0, chif_0 = _substituted(spec, spec.g, 0, coeff * corr)
+    kf2_1, chif_1 = _substituted(spec, spec.g, 1, coeff * (1 + corr))
+    kf2_lead, chif_lead = kf2_1 - kf2_0, chif_1 - chif_0
 
     rows = []
     for c1sq in sorted(set(map(lift, c1sq_grid))):

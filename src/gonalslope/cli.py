@@ -188,18 +188,19 @@ def _require(args: argparse.Namespace, attr: str):
 
 
 def _genus_notes(n: int, g: int, allow: bool) -> list[str]:
-    """The genus gate: no notes from the degree's floor up.
+    """The genus gate: check_genus refuses a genus below 1 first; then no notes
+    from the degree's floor up.
 
     Below the floor it refuses, or under --allow-out-of-range returns the note
-    to print, once check_genus has refused a genus below 1.
+    to print.
     """
+    check_genus(g)
     floor = GENUS_FLOOR[n]
     if g >= floor:
         return []
     if not allow:
         raise ScenarioError(f"genus {g} below floor {floor} for degree {n}; "
                             "pass --allow-out-of-range to compute anyway")
-    check_genus(g)
     return [f"out-of-range: genus {g} below floor {floor}"]
 
 
@@ -283,9 +284,8 @@ def cmd_slope(args: argparse.Namespace) -> int:
 
     fmt = args.format or "table"
     if fmt == "table":
-        pairs = [(k, f"{_fmt(v)} (~ {_approx(v)})") for k, v in fields]
-        pairs += [("note", line) for line in notes]
-        _print_kv(pairs)
+        _print_kv(_labelled((k, k, v, True) for k, v in fields)
+                  + [("note", line) for line in notes])
     else:
         columns = [k for k, _ in fields] + [f"{k}_approx" for k, _ in fields] + ["notes"]
         values = [v for _, v in fields] + [_approx(v) for _, v in fields]
@@ -296,11 +296,14 @@ def cmd_slope(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
+def _scenario_from_args(args: argparse.Namespace,
+                        genus: str = "g") -> tuple[ScenarioSpec, list[str]]:
+    """The scenario the options name, at the genus option given, and its genus notes."""
     n = _require(args, "n")
-    g = _require(args, "g")
+    g = _require(args, genus)
     case = _require(args, "case")
-    return ScenarioSpec(n, g, _norm_case(case), args.gamma, args.s or 0, args.t or 0)
+    spec = ScenarioSpec(n, g, _norm_case(case), args.gamma, args.s or 0, args.t or 0)
+    return spec, _genus_notes(n, g, args.allow_out_of_range)
 
 
 def _scenario_fields(spec: ScenarioSpec, *keys: str) -> list[tuple[str, object]]:
@@ -314,8 +317,7 @@ def _scenario_text(spec: ScenarioSpec, *keys: str) -> str:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    spec = _scenario_from_args(args)
-    notes = _genus_notes(spec.n, spec.g, args.allow_out_of_range)
+    spec, notes = _scenario_from_args(args)
     res = compare(spec, allow_out_of_range=args.allow_out_of_range)
     notes += res.notes
     g = spec.g
@@ -352,14 +354,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    n = _require(args, "n")
-    case = _norm_case(_require(args, "case"))
-    g_min = _require(args, "g_min")
-    g_max = _require(args, "g_max")
+    g_min, g_max = _require(args, "g_min"), _require(args, "g_max")
     if g_min > g_max:
         raise ScenarioError(f"empty sweep range: {g_min}..{g_max}")
-    spec = ScenarioSpec(n, g_min, case, args.gamma, args.s or 0, args.t or 0)
-    _genus_notes(n, g_min, args.allow_out_of_range)  # rows tag out-of-range themselves
+    spec, _ = _scenario_from_args(args, "g_min")  # rows tag out-of-range themselves
+    n = spec.n
     genera = [g for g in range(g_min, g_max + 1)
               if spec.genus_problem(enforce_floor=False, g=g) is None]
     if not genera:
@@ -378,8 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    spec = _scenario_from_args(args)
-    notes = _genus_notes(spec.n, spec.g, args.allow_out_of_range)
+    spec, notes = _scenario_from_args(args)
     grid = args.c1sq_grid if args.c1sq_grid is not None else DEFAULT_GRID
     rep = blowup_bound_report(spec, grid, allow_out_of_range=args.allow_out_of_range)
     columns = ["c1sq", "c2_bound", "kf2", "chif", "slope", "verdict"]

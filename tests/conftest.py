@@ -22,3 +22,16 @@ def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([root, inherited] if inherited else [root])
     return env
+
+
+@pytest.fixture
+def kf2_constant_term(monkeypatch):
+    """Give K_f^2 the constant term 1 in both parts functions that bounds calls."""
+    from gonalslope import bounds
+
+    for name in ("trigonal_blowup_parts", "fourgonal_blowup_parts"):
+        def shifted(*args, parts=getattr(bounds, name)):
+            kf2, chif = parts(*args)
+            return kf2 + 1, chif
+
+        monkeypatch.setattr(bounds, name, shifted)

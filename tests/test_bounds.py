@@ -1,7 +1,9 @@
 """Case-by-case derived bounds, stated closed forms, blow-up reports."""
 from __future__ import annotations
 
+import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -113,6 +115,14 @@ def _splitting_genus_problem(spec, g, enforce_floor):
         return f"{spec.case} needs {'even' if g % 2 else 'odd'} g, got {g}"
     if enforce_floor and g < GENUS_FLOOR[spec.n]:
         return f"genus {g} below floor {GENUS_FLOOR[spec.n]} for degree {spec.n}"
+    if split:
+        # the integral type rounds a floor on alpha up
+        alpha = math.ceil(split[0])
+        beta = split[0] + split[1] - alpha
+        if alpha > beta:
+            return f"{spec.case} splitting needs alpha <= beta, got ({alpha}, {beta})"
+        if spec.n == 4 and alpha < 4:
+            return f"degree-4 splitting needs alpha >= 4, got {alpha}"
     return None
 
 
@@ -186,6 +196,35 @@ def test_splitting_for_index_only():
 def test_degree_4_splitting_needs_alpha_4():
     with pytest.raises(ScenarioError, match="degree-4 splitting needs alpha >= 4, got 2"):
         splitting_for_scenario(ScenarioSpec(4, 1, "general_odd"))
+
+
+#: scenarios whose splitting cannot exist, each with the words that refuse it
+IMPOSSIBLE_SPLITTINGS = [
+    (ScenarioSpec(4, 3, "general_odd"), "degree-4 splitting needs alpha >= 4, got 3"),
+    (ScenarioSpec(4, 3, "index_only"), "index_only splitting needs alpha <= beta, got (4, 2)"),
+]
+
+
+@pytest.mark.parametrize("spec,message", IMPOSSIBLE_SPLITTINGS, ids=str)
+def test_impossible_splitting_refused_by_every_entry(spec, message):
+    """The floor is the only rule that allow_out_of_range relaxes."""
+    pattern = f"^{re.escape(message)}$"
+    assert spec.genus_problem(enforce_floor=False) == message
+    entries = [lambda: splitting_for_scenario(spec),
+               lambda: c2_bounds_blowup(spec, 14),
+               lambda: stated_closed_form(spec),
+               lambda: derived_slope_bound(spec, allow_out_of_range=True),
+               lambda: blowup_bound_report(replace(spec, t=1), [14], allow_out_of_range=True)]
+    for entry in entries:
+        with pytest.raises(ScenarioError, match=pattern):
+            entry()
+
+
+@pytest.mark.parametrize("spec", [ScenarioSpec(3, 11, "general_odd"),
+                                  ScenarioSpec(4, 11, "general_odd")], ids=str)
+def test_cancellation_certificate_fires(spec, kf2_constant_term):
+    with pytest.raises(AssertionError, match=r"^c1\^2 failed to cancel for "):
+        derived_slope_bound(spec)
 
 
 def test_symbolic_splitting_type_skips_the_order_check():

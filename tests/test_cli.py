@@ -7,6 +7,7 @@ import importlib.metadata
 import io
 import json
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from gonalslope import cli
 from gonalslope.bounds import ScenarioSpec, c2_bounds_blowup, derived_slope_bound
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SLOPE_EXAMPLE = ["slope", "--n", "3", "--g", "5", "--c1sq", "14", "--c2", "28/9"]
 
@@ -282,6 +284,19 @@ def test_genus_below_one_exits_1(argv, g, capsys):
     assert err == f"error: genus must be positive, got {g}\n"
 
 
+@pytest.mark.parametrize("allow", [[], ["--allow-out-of-range"]], ids=["floor", "allow"])
+@pytest.mark.parametrize("argv", [
+    ["slope", "--n", "3", "--g", "0", "--c1sq", "1", "--c2", "1"],
+    ["bound", "--n", "3", "--g", "0", "--case", "general-even"],
+    ["sweep", "--n", "3", "--case", "general-even", "--g-min", "0", "--g-max", "12"],
+    ["report", "--n", "3", "--g", "0", "--case", "index-only", "--t", "1"],
+], ids=lambda argv: argv[0])
+def test_genus_below_one_gets_no_floor_hint(argv, allow, capsys):
+    """A genus below 1 is refused for itself, with or without --allow-out-of-range."""
+    code, out, err = run_cli(argv + allow, capsys)
+    assert (code, out, err) == (1, "", "error: genus must be positive, got 0\n")
+
+
 # -- bound --------------------------------------------------------------------
 
 
@@ -321,6 +336,16 @@ def test_bound_checks_degree_before_genus_floor(capsys):
     code, _, err = run_cli(["bound", "--n", "5", "--g", "3", "--case", "index-only"], capsys)
     assert code == 1
     assert err == "error: degree must be 3 or 4, got 5\n"
+
+
+@pytest.mark.parametrize("case,message", [
+    ("index-only", "index_only splitting needs alpha <= beta, got (4, 2)"),
+    ("general-odd", "degree-4 splitting needs alpha >= 4, got 3"),
+])
+def test_bound_refuses_impossible_splitting_out_of_range(case, message, capsys):
+    code, out, err = run_cli(["bound", "--n", "4", "--g", "3", "--case", case,
+                              "--allow-out-of-range"], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_bound_rejects_blowups_with_guidance(capsys):
@@ -445,6 +470,15 @@ def test_sweep_rows_below_floor(n, case, g_min, g_max, below, strict, capsys):
         rec = json.loads(bound)
         assert (r["derived"], r["stated"], r["strict"]) == (
             rec["derived_at_g"], rec["stated_at_g"], rec["strict"])
+
+
+@pytest.mark.parametrize("case,first", [("general-odd", 5), ("nonfactorizing", 7)])
+def test_sweep_skips_impossible_splittings(case, first, capsys):
+    code, out, _ = run_cli(["sweep", "--n", "4", "--case", case, "--g-min", "1",
+                            "--g-max", "12", "--allow-out-of-range", "--format", "csv"],
+                           capsys)
+    assert code == 0
+    assert out.splitlines()[1].split(",")[0] == str(first)
 
 
 @pytest.mark.parametrize("n,case,gamma", [
@@ -634,6 +668,41 @@ def test_verify_golden_output(capsys):
     assert out == (GOLDEN / "verify.txt").read_text(encoding="utf-8")
 
 
+def _readme_examples():
+    """(argv, lines shown) for each `$ gonal-slope` line in the README's console blocks."""
+    examples = []
+    for block in re.findall(r"^```console\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                            flags=re.M | re.S):
+        for chunk in re.split(r"^\$ gonal-slope ", block, flags=re.M)[1:]:
+            command, *shown = chunk.splitlines()
+            examples.append((shlex.split(command), shown))
+    return examples
+
+
+def _fits(shown, lines):
+    """Whether lines read as shown, where a '...' line stands for any number of lines."""
+    if not shown:
+        return not lines
+    if shown[0] == "...":
+        return any(_fits(shown[1:], lines[i:]) for i in range(len(lines) + 1))
+    return bool(lines) and lines[0] == shown[0] and _fits(shown[1:], lines[1:])
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv,shown", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_console_examples(argv, shown, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert _fits(shown, out.splitlines()), out
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv, _ in README_EXAMPLES} == set(cli._COMMANDS)
+
+
 def test_negative_fraction_value_needs_equals_form(capsys):
     argv = GOLDEN_RUNS["report_n4_general_even_12_s1_t1_grid"][:-1]
     code, out, err = run_cli(argv + ["--c1sq-grid", "-1/2,14"], capsys)
@@ -718,6 +787,14 @@ def test_internal_check_failure_exits_4(capsys, monkeypatch):
     code, out, err = run_cli(GOLDEN_RUNS["sweep_n4_general_even_10_60"], capsys)
     assert (code, out) == (4, "")
     assert err == "error: internal check failed: c1^2 failed to cancel: constant terms (1,)\n"
+
+
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_cancellation_certificate_exits_4(n, capsys, kf2_constant_term):
+    code, out, err = run_cli(["bound", "--n", n, "--g", "11", "--case", "general-odd"],
+                             capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal check failed: c1^2 failed to cancel for ")
 
 
 def test_version_is_written_once(capsys):

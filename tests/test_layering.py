@@ -1,0 +1,71 @@
+"""Layering: each module imports only the layers below it.
+
+The order is the one the package docstring gives, bottom up.  Imports are
+read from the sources with ast, so a layer that reaches upwards fails here
+even where the import would happen to resolve.
+"""
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import gonalslope
+
+PACKAGE = Path(gonalslope.__file__).resolve().parent
+LAYERS = ("ratcalc", "chow", "chern", "grr", "slope", "bounds", "verify", "cli")
+#: names a layer may import from the package root itself
+ROOT_NAMES = {"cli": {"__version__"}}
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _relative_imports(module: str) -> dict[str, set[str]]:
+    """Imported package module (or '' for the package root) -> names imported from it."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(_tree(module)):
+        if not isinstance(node, ast.ImportFrom) or not node.level:
+            continue
+        names = {alias.name for alias in node.names}
+        if node.module:
+            found.setdefault(node.module, set()).update(names)
+        else:  # `from . import x`: x is a module, or a name of the package root
+            for name in names:
+                if name in LAYERS:
+                    found.setdefault(name, set())
+                else:
+                    found.setdefault("", set()).add(name)
+    return found
+
+
+def test_every_module_is_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert modules - {"__init__", "__main__"} == set(LAYERS)
+
+
+def test_package_docstring_names_the_layers_in_order():
+    positions = [re.search(rf"\b{layer}\s+\(", gonalslope.__doc__).start()
+                 for layer in LAYERS]
+    assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_module_imports_only_lower_layers(module):
+    below = set(LAYERS[:LAYERS.index(module)])
+    imports = _relative_imports(module)
+    assert set(imports) - {""} <= below
+    assert imports.get("", set()) <= ROOT_NAMES.get(module, set())
+
+
+def test_the_c2_substitution_calls_slope():
+    """bounds substitutes a c2 bound through the slope layer's functions."""
+    from_slope = _relative_imports("bounds")["slope"]
+    helper = next(node for node in _tree("bounds").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_substituted")
+    called = {node.func.id for node in ast.walk(helper)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"trigonal_blowup_parts", "fourgonal_blowup_parts"} <= called & from_slope
