@@ -34,7 +34,7 @@ _MARONI = {
 CASES = tuple(_MARONI)
 
 #: case -> degree -> the stated closed form as a function of gamma, keyed as
-#: _MARONI is.  Transcribed from the statements, never read by the derivation.
+#: _MARONI is.  Transcribed from the statements; the derivation only compares.
 _STATED = {
     "index_only": {3: lambda gamma: 24 * (G - 1) / (5 * G + 1),
                    4: lambda gamma: RatFunc.const(4)},
@@ -283,7 +283,7 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
         raise AssertionError(f"c1^2 failed to cancel for {spec}: constant terms {const}")
     derived = (slope_trigonal(G, 1, q) if spec.n == 3
                else slope_fourgonal(G, 1, c2e_bound_fourgonal(1, q), q)).slope
-    stated = stated_closed_form(spec)
+    stated = _STATED[spec.case][spec.n](spec.gamma)  # spec validated above
     disc = stated - derived
     notes = []
     if not disc.is_zero():

@@ -8,8 +8,13 @@ numerator and denominator as tuples of int.  Every instance is held in
 canonical form: numerator and denominator coprime as polynomials, all
 coefficients jointly coprime, leading denominator coefficient positive.
 The common factor is found by a primitive polynomial remainder sequence
-over Z, so no arithmetic leaves the integers.  Equality is therefore
-plain structural comparison, and an independent check is always
+over Z, so no arithmetic leaves the integers.  It runs only where a
+common factor can appear: between two nonconstant operands, and in
+``compose``.  If a/b is canonical and p/q is a nonzero constant, then
+q*a + p*b and q*b are coprime, and so are p*a, q*b and q*a, p*b; so +, -,
+* and / with an int, Fraction or constant RatFunc on either side fix only
+the integer content and the denominator's sign (``_normal``).  Equality
+is plain structural comparison, and an independent check is always
 available by evaluating at enough sample points.
 """
 from __future__ import annotations
@@ -76,6 +81,10 @@ def _padd(a: _Poly, b: _Poly) -> _Poly:
 def _pmul(a: _Poly, b: _Poly) -> _Poly:
     if not a or not b:
         return ()
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:  # a scalar multiple, the common case
+        return a if b[0] == 1 else tuple(b[0] * c for c in a)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -129,18 +138,32 @@ def _pexquo(a: _Poly, b: _Poly) -> _Poly:
 
 def _canon(num: _Poly, den: _Poly) -> RatFunc:
     """The RatFunc num/den: coprime, jointly primitive, positive lead in den."""
-    if not num:
-        den = (1,)
-    elif len(num) > 1 and len(den) > 1:
+    if len(num) > 1 and len(den) > 1:
         common = _pgcd(num, den)
         if len(common) > 1:
             num, den = _pexquo(num, common), _pexquo(den, common)
+    return _normal(num, den)
+
+
+def _normal(num: _Poly, den: _Poly) -> RatFunc:
+    """The RatFunc num/den for coprime num and den: content and sign fixed."""
+    if not num:
+        den = (1,)
     c = gcd(*num, *den) * (-1 if den[-1] < 0 else 1)
     if c != 1:
         num, den = tuple(x // c for x in num), tuple(x // c for x in den)
     out = object.__new__(RatFunc)
     out.num, out.den = num, den
     return out
+
+
+def _operand(x):
+    """(num, den, is_constant) of an int, Fraction or RatFunc; None for anything else."""
+    if isinstance(x, RatFunc):
+        return x.num, x.den, len(x.num) <= 1 and len(x.den) == 1
+    if isinstance(x, (int, Fraction)):
+        return ((x.numerator,) if x else ()), (x.denominator,), True
+    return None
 
 
 def _phom(a: _Poly, p: _Poly, q: _Poly, k: int) -> _Poly:
@@ -213,14 +236,6 @@ class RatFunc:
     def variable(cls) -> RatFunc:
         return cls((0, 1))
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RatFunc.const(x)
-        return None
-
     # predicates and views -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -234,14 +249,18 @@ class RatFunc:
             raise ValueError(f"not a constant: {self}")
         return Fraction(self.num[0] if self.num else 0, self.den[0])
 
-    # arithmetic -----------------------------------------------------------
+    # arithmetic: a constant on either side skips the gcd (module docstring) --
+
+    def _join(self, constant: bool, num: _Poly, den: _Poly) -> RatFunc:
+        return (_normal if constant or self.is_constant() else _canon)(num, den)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return _canon(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-                      _pmul(self.den, o.den))
+        on, od, constant = o
+        return self._join(constant, _padd(_pmul(self.num, od), _pmul(on, self.den)),
+                          _pmul(self.den, od))
 
     __radd__ = __add__
 
@@ -252,38 +271,37 @@ class RatFunc:
         return out
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if _operand(other) is None else self + (-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if _operand(other) is None else -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return _canon(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        on, od, constant = o
+        return self._join(constant, _pmul(self.num, on), _pmul(self.den, od))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        on, od, constant = o
+        if not on:
             raise ZeroDivisionError("division by the zero rational function")
-        return _canon(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return self._join(constant, _pmul(self.num, od), _pmul(self.den, on))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return o / self
+        on, od, constant = o
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        return self._join(constant, _pmul(on, self.den), _pmul(od, self.num))
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -300,10 +318,10 @@ class RatFunc:
     # equality is structural; canonical form makes that sound
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == o[0] and self.den == o[1]
 
     def __hash__(self):
         # a constant equals its Fraction (and int), so it must hash like one
@@ -312,24 +330,27 @@ class RatFunc:
     # evaluation and substitution -------------------------------------------
 
     def __call__(self, x) -> Rat:
-        x = _exact(x)
+        if not isinstance(x, int):  # an int is already x/1
+            x = _exact(x)
+        p, q = x.numerator, x.denominator
         k = max(len(self.num), len(self.den)) - 1
-        d = _peval(self.den, x.numerator, x.denominator, k)
+        d = _peval(self.den, p, q, k)
         if d == 0:
             raise PoleError(f"pole of {self} at g = {x}")
-        return Fraction(_peval(self.num, x.numerator, x.denominator, k), d)
+        return Fraction(_peval(self.num, p, q, k), d)
 
     def compose(self, inner) -> RatFunc:
         """Substitute ``inner`` for the variable; inner may be a RatFunc or a number."""
-        h = self._coerce(inner)
+        h = _operand(inner)
         if h is None:
             raise TypeError(f"cannot substitute {inner!r}")
         # f(p/q) = q^k num(p/q) / (q^k den(p/q)), one canonicalisation at the end
+        p, q, _ = h
         k = max(len(self.num), len(self.den)) - 1
-        d = _phom(self.den, h.num, h.den, k)
+        d = _phom(self.den, p, q, k)
         if not d:
             raise ZeroDivisionError("denominator vanishes identically under substitution")
-        return _canon(_phom(self.num, h.num, h.den, k), d)
+        return _canon(_phom(self.num, p, q, k), d)
 
     def __str__(self) -> str:
         if self.is_constant():

@@ -124,8 +124,11 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
     check_blowups(4, s, t)
     g, c1sq, c2f, s, t = map(lift, (g, c1sq, c2f, s, t))
     num = c2f - 2 * c1sq / (g + 3)
-    den = ((g + 1) / (4 * (g + 3)) * c1sq - c2f / 4
-           + 3 * g / (2 * (g + 3)) * s + (g + 1) / (g + 3) * t)
+    den = (g + 1) / (4 * (g + 3)) * c1sq - c2f / 4
+    if s:
+        den += 3 * g / (2 * (g + 3)) * s
+    if t:
+        den += (g + 1) / (g + 3) * t
     return 4 + _ratio(num, den)
 
 

@@ -907,3 +907,17 @@ def test_console_script_on_path():
     proc = subprocess.run([script, *SLOPE_EXAMPLE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "48/13" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--n", "4", "--g", "13", "--case", "nonfactorizing"],
+    ["report", "--n", "4", "--g", "13", "--case", "nonfactorizing", "--t", "1"],
+    ["sweep", "--n", "3", "--case", "general-odd", "--g-min", "5", "--g-max", "15"],
+], ids=lambda argv: argv[0])
+def test_one_validation_per_call(argv, capsys, monkeypatch):
+    calls = []
+    validate = ScenarioSpec.validate
+    monkeypatch.setattr(ScenarioSpec, "validate",
+                        lambda spec, *args, **kw: calls.append(spec) or validate(spec, *args, **kw))
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err, len(calls)) == (0, "", 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -10,6 +11,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gonalslope import ratcalc
 from gonalslope.ratcalc import G, PoleError, RatFunc, _pgcd, parse_rat
 
 
@@ -235,7 +237,12 @@ def primitive_pair(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def sympy_canonical(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    n, d = sympy.fraction(sympy.cancel(to_sympy(num).as_expr() / to_sympy(den).as_expr()))
+    return sympy_cancelled(to_sympy(num).as_expr() / to_sympy(den).as_expr())
+
+
+def sympy_cancelled(expr) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """sympy.cancel of expr, as the canonical integer (num, den) pair."""
+    n, d = sympy.fraction(sympy.cancel(expr))
     n, d = from_sympy(sympy.Poly(n, SYM_G)), from_sympy(sympy.Poly(d, SYM_G))
     return ((), (1,)) if not n else primitive_pair(n, d)
 
@@ -303,3 +310,85 @@ def test_equal_values_have_equal_hashes(f, h, q):
     const = (G + q) - G
     assert const == q and const == RatFunc.const(q)
     assert hash(const) == hash(q) == hash(RatFunc.const(q))
+
+
+# -- a constant operand skips the gcd: same value, same canonical form ---------
+
+SCALAR_OPS = {
+    "f+c": lambda f, c: f + c, "c+f": lambda f, c: c + f,
+    "f-c": lambda f, c: f - c, "c-f": lambda f, c: c - f,
+    "f*c": lambda f, c: f * c, "c*f": lambda f, c: c * f,
+    "f/c": lambda f, c: f / c, "c/f": lambda f, c: c / f,
+}
+#: degree <= 4 over degree <= 4; the zero function and constants included
+low_degree = st.builds(RatFunc, st.lists(coefficients, max_size=5).map(tuple),
+                       st.lists(coefficients, min_size=1, max_size=5).map(tuple).filter(any))
+scalars = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=6),
+                    st.fractions(-30, 30, max_denominator=6).map(RatFunc.const))
+
+
+def sympy_of(x):
+    if isinstance(x, RatFunc):
+        return to_sympy(x.num).as_expr() / to_sympy(x.den).as_expr()
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def assert_canonical(r: RatFunc) -> None:
+    assert is_int_tuple(r.num) and is_int_tuple(r.den)
+    assert gcd(*r.num, *r.den) == 1 and r.den[-1] > 0
+    again = RatFunc(r.num, r.den)
+    assert (again.num, again.den) == (r.num, r.den)
+
+
+def divides_by_zero(name, f, c) -> bool:
+    return (name == "f/c" and c == 0) or (name == "c/f" and f.is_zero())
+
+
+@oracle_settings
+@given(low_degree, scalars)
+def test_constant_operand_matches_sympy_cancel(f, c):
+    for name, op in SCALAR_OPS.items():
+        if divides_by_zero(name, f, c):
+            with pytest.raises(ZeroDivisionError):
+                op(f, c)
+            continue
+        r = op(f, c)
+        assert (r.num, r.den) == sympy_cancelled(op(sympy_of(f), sympy_of(c))), name
+        assert_canonical(r)
+
+
+@pytest.mark.parametrize("q", [0, -3, Fraction(-5, 4), Fraction(7, 2)])
+def test_constant_hash_and_zero_divisors(q):
+    assert hash(RatFunc.const(q)) == hash(q)
+    f = (G + 1) / (G - 2)
+    for zero in (0, Fraction(0), RatFunc.const(0)):
+        with pytest.raises(ZeroDivisionError):
+            f / zero
+    with pytest.raises(ZeroDivisionError):
+        q / (G - G)
+
+
+def test_int_evaluation_matches_fraction_evaluation():
+    f = (G ** 2 + 3) / (G - 3)
+    for x in (-4, 0, 2, 5):
+        assert f(x) == f(Fraction(x)) and type(f(x)) is Fraction
+    for x in (3, Fraction(3)):
+        with pytest.raises(PoleError, match="g = 3"):
+            f(x)
+
+
+def test_constant_operands_never_run_the_gcd(monkeypatch):
+    funcs = [(G ** 2 + 1) / (G - 3), (2 * G + 4) / (6 * G ** 2 - 1), G ** 3 - G / 2,
+             RatFunc.const(Fraction(-5, 4)), G - G]
+    consts = [0, -3, Fraction(2, 7), RatFunc.const(Fraction(-5, 4)), RatFunc.const(0)]
+
+    def refuse(a, b):
+        raise AssertionError(f"gcd ran on {a}, {b}")
+
+    monkeypatch.setattr(ratcalc, "_pgcd", refuse)
+    for f, c in product(funcs, consts):
+        for name, op in SCALAR_OPS.items():
+            if not divides_by_zero(name, f, c):
+                op(f, c)
+        assert (f == c) == (f - c).is_zero() == (c == f)
+        f(Fraction(1, 5)), f(7)
