@@ -6,10 +6,17 @@ local index three.  Its numerical lattice is spanned by a section class
 T0 with T0^2 = 0, the fibre class F, and the exceptional classes
 E'_1..E'_s and E''_1..E''_t.  The only nonzero products among generators
 are T0.F = 1 and E'_i^2 = E''_j^2 = -1.
+
+``intersect`` sums the pairing in Python ints when every entry is a
+Fraction: the nonzero products share one common denominator and each
+intersection number builds a single Fraction.  A class with a Q(g) entry
+takes the entry-wise sum in RatFunc arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .ratcalc import Rat, RatFunc, lift
 
@@ -111,12 +118,28 @@ class NumClass:
 
 
 def intersect(a: NumClass, b: NumClass) -> Rat | RatFunc:
-    """Intersection number under T0.F = 1, T0^2 = F^2 = 0, E^2 = -1, E mutually orthogonal."""
+    """Intersection number under T0.F = 1, T0^2 = F^2 = 0, E^2 = -1, E mutually orthogonal.
+
+    With all entries in Q, each nonzero product is brought onto one running
+    common denominator (an lcm, nothing reduced per term) and one Fraction is
+    built at the end.  Any Q(g) entry takes the entry-wise RatFunc sum.
+    """
     a._check(b)
-    out = a.t0 * b.f + a.f * b.t0
-    out -= sum(x * y for x, y in zip(a.ep, b.ep))
-    out -= sum(x * y for x, y in zip(a.epp, b.epp))
-    return out
+    if RatFunc in map(type, (a.t0, a.f, b.t0, b.f, *a.ep, *a.epp, *b.ep, *b.epp)):
+        out = a.t0 * b.f + a.f * b.t0
+        out -= sum(x * y for x, y in zip(a.ep, b.ep))
+        out -= sum(x * y for x, y in zip(a.epp, b.epp))
+        return out
+    num, den = 0, 1
+    for sign, xs, ys in ((1, (a.t0, a.f), (b.f, b.t0)), (-1, a.ep + a.epp, b.ep + b.epp)):
+        for x, y in zip(xs, ys):
+            (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+            if xn and yn:
+                q = xd * yd
+                m = lcm(den, q)
+                num = num * (m // den) + sign * xn * yn * (m // q)
+                den = m
+    return Fraction(num, den)
 
 
 def self_intersection(a: NumClass) -> Rat | RatFunc:

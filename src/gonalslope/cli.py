@@ -39,6 +39,9 @@ CLI_CASES = tuple(c.replace("_", "-") for c in CASES)
 #: admissibility edge of every supported scenario
 DEFAULT_GRID = tuple(Fraction(x) for x in (1, 2, 4, 14, 100, 1000))
 
+#: widest genus range `sweep` accepts; its rows are all built before printing
+MAX_SWEEP_GENERA = 100_000
+
 
 #: a value quoted in an error message, if longer than 80 characters; it is
 #: echoed as its first 40 characters and its length
@@ -357,6 +360,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     g_min, g_max = _require(args, "g_min"), _require(args, "g_max")
     if g_min > g_max:
         raise ScenarioError(f"empty sweep range: {g_min}..{g_max}")
+    if g_max - g_min + 1 > MAX_SWEEP_GENERA:
+        raise ScenarioError(f"sweep range too wide: {g_min}..{g_max} spans "
+                            f"{g_max - g_min + 1} genera, at most {MAX_SWEEP_GENERA}")
     spec, _ = _scenario_from_args(args, "g_min")  # rows tag out-of-range themselves
     n = spec.n
     genera = [g for g in range(g_min, g_max + 1)

@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gonalslope.chow import (ModelMismatchError, NumClass, SurfaceModel,
                              canonical_class, chi_structure, intersect,
                              self_intersection)
 from gonalslope.grr import blownup_c1
-from gonalslope.ratcalc import G
+from gonalslope.ratcalc import G, RatFunc
 from gonalslope.slope import slope_general_via_surface
 
 
@@ -88,6 +90,67 @@ def test_pairing_symmetric_bilinear_fuzz():
         lam = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         assert intersect(a, b) == intersect(b, a)
         assert intersect(a + lam * c, b) == intersect(a, b) + lam * intersect(c, b)
+
+
+# -- the integer pairing kernel against the entry-wise Fraction sum --------
+
+entries = st.one_of(st.just(0), st.integers(-10**6, 10**6),
+                    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)))
+
+
+@st.composite
+def class_pairs(draw):
+    m = SurfaceModel(draw(st.integers(0, 5)), draw(st.integers(0, 60)), draw(st.integers(0, 60)))
+
+    def one():
+        return NumClass(m, draw(entries), draw(entries),
+                        tuple(draw(st.lists(entries, min_size=m.s, max_size=m.s))),
+                        tuple(draw(st.lists(entries, min_size=m.t, max_size=m.t))))
+
+    a = one()
+    return a, a if draw(st.booleans()) else one()
+
+
+def entrywise(a: NumClass, b: NumClass):
+    """t0.f' + f.t0' - sum ep.ep' - sum epp.epp', one Fraction product at a time."""
+    out = a.t0 * b.f + a.f * b.t0
+    for x, y in zip(a.ep, b.ep):
+        out -= x * y
+    for x, y in zip(a.epp, b.epp):
+        out -= x * y
+    return out
+
+
+@given(class_pairs())
+@example((SurfaceModel(0, 2, 3).zero(),) * 2)
+@example((SurfaceModel(0, 2, 3).t0(), SurfaceModel(0, 2, 3).f()))
+def test_pairing_kernel_matches_entrywise_sum(pair):
+    a, b = pair
+    want = entrywise(a, b)
+    for got in (intersect(a, b), intersect(b, a)):
+        assert got == want and type(got) is Fraction
+    assert self_intersection(a) == entrywise(a, a)
+
+
+@pytest.mark.parametrize("model", [SurfaceModel(1, 1, 1), SurfaceModel(0, 0, 0),
+                                   SurfaceModel(3, 0, 7), SurfaceModel(2, 60, 60)], ids=str)
+def test_q_of_g_pairing_keeps_the_entrywise_ratfunc(model):
+    c1, k = blownup_c1(G, 4, 1, model), canonical_class(model)
+    for got in (intersect(c1, k), intersect(k, c1)):
+        assert type(got) is RatFunc and got == entrywise(c1, k)
+    assert self_intersection(c1) == 1
+    if model == SurfaceModel(1, 1, 1):  # -14/(g + 3) + 3 + 2
+        assert intersect(c1, k) == (5 * G + 1) / (G + 3)
+
+
+def test_pairing_refuses_mixed_models_on_both_paths():
+    m = SurfaceModel(1, 1, 1)
+    other = SurfaceModel(1, 1, 2)
+    for a in (canonical_class(m), blownup_c1(G, 4, 1, m)):
+        with pytest.raises(ModelMismatchError):
+            intersect(a, canonical_class(other))
+        with pytest.raises(ModelMismatchError):
+            intersect(canonical_class(other), a)
 
 
 def test_class_arithmetic():

@@ -426,6 +426,23 @@ def test_sweep_empty_range_exits_1(capsys):
     assert code == 1
 
 
+def test_sweep_refuses_a_range_too_wide_before_any_row(capsys, monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "derived_slope_bound", no_rows)
+    monkeypatch.setattr(ScenarioSpec, "genus_problem", no_rows)
+    sweep = ["sweep", "--n", "3", "--case", "general-odd", "--g-min", "5", "--g-max"]
+    for g_max in (5 + cli.MAX_SWEEP_GENERA, 100_000_000):
+        code, out, err = run_cli(sweep + [str(g_max)], capsys)
+        assert code == 1 and out == ""
+        assert f"sweep range too wide: 5..{g_max} spans {g_max - 4} genera" in err
+    # the widest accepted range gets past the width check to the genus rule
+    monkeypatch.setattr(ScenarioSpec, "genus_problem", lambda *args, **kwargs: "odd")
+    code, _, err = run_cli(sweep + [str(4 + cli.MAX_SWEEP_GENERA)], capsys)
+    assert code == 1 and "no admissible g" in err
+
+
 def test_sweep_factorizing_filters_small_genus(capsys):
     code, out, _ = run_cli(["sweep", "--n", "4", "--case", "factorizing",
                             "--gamma", "2", "--g-min", "10", "--g-max", "18",
