@@ -21,6 +21,8 @@ class BundleData:
 
     def __post_init__(self):
         object.__setattr__(self, "c2", lift(self.c2))
+        if type(self.rank) is not int:
+            raise TypeError(f"rank must be an int, not {self.rank!r}")
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
         if self.rank == 1 and self.c2 != 0:

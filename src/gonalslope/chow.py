@@ -7,20 +7,38 @@ T0 with T0^2 = 0, the fibre class F, and the exceptional classes
 E'_1..E'_s and E''_1..E''_t.  The only nonzero products among generators
 are T0.F = 1 and E'_i^2 = E''_j^2 = -1.
 
+``+``, ``-``, negation and scaling work once per run of entries that are
+the same objects as the entry before and share the result down the run.
+Cover constructions repeat one coefficient object down the E' and the E''
+entries, so runs last from c1 through Sym^2 and quotients to the pairing.
+
 ``intersect`` sums the pairing in Python ints when every entry is a
-Fraction: the nonzero products share one common denominator and each
-intersection number builds a single Fraction.  A class with a Q(g) entry
-takes the entry-wise sum in RatFunc arithmetic.
+Fraction: the nonzero products share one common denominator, a repeated
+pair adds its previous integer term again, and each intersection number
+builds a single Fraction.  A class with a Q(g) entry takes the entry-wise
+sum in RatFunc arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 from .ratcalc import Rat, RatFunc, lift
 
 _MAX_BLOWUPS = 10_000
+_NOTHING = object()
+
+
+def _runs(op, xs, ys) -> tuple:
+    """op(x, y) entry-wise, called again only where x or y is not the previous entry's object."""
+    out, px, py, val = [], _NOTHING, _NOTHING, None
+    for x, y in zip(xs, ys):
+        if x is not px or y is not py:
+            px, py, val = x, y, op(x, y)
+        out.append(val)
+    return tuple(out)
 
 
 class ModelMismatchError(ValueError):
@@ -90,22 +108,27 @@ class NumClass:
         if self.model != other.model:
             raise ModelMismatchError(f"{self.model} vs {other.model}")
 
-    def __add__(self, other: NumClass) -> NumClass:
+    def _map(self, op, other: NumClass) -> NumClass:
+        """op over paired entries via _runs; op keeps entry types, so skip __post_init__."""
         self._check(other)
-        return NumClass(self.model, self.t0 + other.t0, self.f + other.f,
-                        tuple(a + b for a, b in zip(self.ep, other.ep)),
-                        tuple(a + b for a, b in zip(self.epp, other.epp)))
+        out = object.__new__(NumClass)
+        vals = (self.model, op(self.t0, other.t0), op(self.f, other.f),
+                _runs(op, self.ep, other.ep), _runs(op, self.epp, other.epp))
+        for name, val in zip(("model", "t0", "f", "ep", "epp"), vals):
+            object.__setattr__(out, name, val)
+        return out
+
+    def __add__(self, other: NumClass) -> NumClass:
+        return self._map(add, other) if isinstance(other, NumClass) else NotImplemented
 
     def __sub__(self, other: NumClass) -> NumClass:
-        return self + (-other)
+        return self._map(sub, other) if isinstance(other, NumClass) else NotImplemented
 
     def __neg__(self) -> NumClass:
-        return (-1) * self
+        return self._map(lambda x, _: -x, self)
 
     def __rmul__(self, k) -> NumClass:
-        k = lift(k)
-        return NumClass(self.model, k * self.t0, k * self.f,
-                        tuple(k * c for c in self.ep), tuple(k * c for c in self.epp))
+        return self._map(lambda x, _, k=lift(k): k * x, self)
 
     __mul__ = __rmul__
 
@@ -124,6 +147,8 @@ def intersect(a: NumClass, b: NumClass) -> Rat | RatFunc:
     common denominator (an lcm, nothing reduced per term) and one Fraction is
     built at the end.  Any Q(g) entry takes the entry-wise RatFunc sum.
     """
+    if not (isinstance(a, NumClass) and isinstance(b, NumClass)):
+        raise TypeError(f"intersect needs NumClasses, got {type(a).__name__}, {type(b).__name__}")
     a._check(b)
     if RatFunc in map(type, (a.t0, a.f, b.t0, b.f, *a.ep, *a.epp, *b.ep, *b.epp)):
         out = a.t0 * b.f + a.f * b.t0
@@ -132,13 +157,16 @@ def intersect(a: NumClass, b: NumClass) -> Rat | RatFunc:
         return out
     num, den = 0, 1
     for sign, xs, ys in ((1, (a.t0, a.f), (b.f, b.t0)), (-1, a.ep + a.epp, b.ep + b.epp)):
+        px = py = _NOTHING
         for x, y in zip(xs, ys):
-            (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-            if xn and yn:
-                q = xd * yd
-                m = lcm(den, q)
-                num = num * (m // den) + sign * xn * yn * (m // q)
-                den = m
+            if x is not px or y is not py:
+                px, py, term = x, y, 0
+                (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+                if xn and yn:
+                    m = lcm(den, xd * yd)
+                    num, den = num * (m // den), m
+                    term = sign * xn * yn * (m // (xd * yd))
+            num += term
     return Fraction(num, den)
 
 

@@ -28,6 +28,12 @@ def test_bundle_validation():
     assert line.c1sq == 20
 
 
+@pytest.mark.parametrize("rank", [2.0, True, False, Fraction(2), "2"], ids=repr)
+def test_bundle_refuses_non_int_rank(rank):
+    with pytest.raises(TypeError, match="rank must be an int"):
+        BundleData(rank, SurfaceModel().t0(), 0)
+
+
 def test_sym2_rank2_pin():
     m = SurfaceModel()
     e = BundleData(2, NumClass(m, 3, 2), Fraction(7, 2))

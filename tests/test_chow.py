@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import example, given
@@ -151,6 +152,91 @@ def test_pairing_refuses_mixed_models_on_both_paths():
             intersect(a, canonical_class(other))
         with pytest.raises(ModelMismatchError):
             intersect(canonical_class(other), a)
+
+
+def test_class_sum_with_non_class_raises_type_error():
+    c = SurfaceModel(0, 1, 1).t0()
+    assert c.__add__(1) is NotImplemented and c.__sub__(1) is NotImplemented
+    for op in (lambda: c + 1, lambda: c - 1, lambda: 1 - c, lambda: c + Fraction(1, 2)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+
+def test_pairing_with_non_class_raises_type_error():
+    c = SurfaceModel(0, 1, 1).t0()
+    for a, b in ((c, 3), (3, c), (c, None)):
+        with pytest.raises(TypeError, match="^intersect needs NumClasses, got .*$"):
+            intersect(a, b)
+
+
+# -- arithmetic and pairing on runs of shared entries ----------------------
+
+_fracs = st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**3))
+_ratfuncs = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9))
+
+
+def _build(spec):
+    """A new Fraction or RatFunc object on every call."""
+    if len(spec) == 2:
+        return Fraction(*spec)
+    p, q, r = spec
+    return (p * G + q) / (G + r)
+
+
+@st.composite
+def run_entries(draw, n: int, mode: str):
+    """n entries in runs: 'shared' repeats one Fraction object per run, 'equal' builds
+    each entry of a run anew, 'mixed' alternates Fraction and RatFunc runs of one object."""
+    out, flip = [], draw(st.booleans())
+    while len(out) < n:
+        flip = not flip
+        spec = draw(_ratfuncs if mode == "mixed" and flip else _fracs)
+        size = draw(st.integers(1, n - len(out)))
+        out += [_build(spec) for _ in range(size)] if mode == "equal" else [_build(spec)] * size
+    return tuple(out)
+
+
+@st.composite
+def run_pairs(draw):
+    m = SurfaceModel(0, draw(st.integers(0, 60)), draw(st.integers(0, 60)))
+    mode = draw(st.sampled_from(("shared", "equal", "mixed")))
+
+    def one():  # runs may cross from t0 and f into the E' and E'' entries
+        xs = draw(run_entries(2 + m.s + m.t, mode))
+        return NumClass(m, xs[0], xs[1], xs[2:2 + m.s], xs[2 + m.s:])
+
+    a = one()
+    return a, a if draw(st.booleans()) else one()
+
+
+def oracle(op, a: NumClass, b: NumClass) -> NumClass:
+    """op entry by entry, each result admitted through NumClass(...)."""
+    return NumClass(a.model, op(a.t0, b.t0), op(a.f, b.f), tuple(map(op, a.ep, b.ep)),
+                    tuple(map(op, a.epp, b.epp)))
+
+
+@given(run_pairs(), st.one_of(st.integers(-9, 9), _fracs.map(_build), _ratfuncs.map(_build)))
+def test_run_arithmetic_matches_entrywise_oracle(pair, k):
+    a, b = pair
+    cases = [(a + b, oracle(add, a, b)), (a - b, oracle(sub, a, b)),
+             (-a, oracle(lambda x, _: -x, a, a))]
+    cases += [(got, oracle(lambda x, _: k * x, a, a)) for got in (k * a, a * k)]
+    for got, want in cases:
+        assert got == want and hash(got) == hash(want)
+        assert {type(x) for x in (got.t0, got.f, *got.ep, *got.epp)} <= {Fraction, RatFunc}
+
+
+@given(run_pairs())
+def test_pairing_on_runs_matches_entrywise_sum(pair):
+    a, b = pair
+    for got in (intersect(a, b), intersect(b, a)):
+        assert got == entrywise(a, b)
+
+
+def test_arithmetic_keeps_one_object_per_run():
+    c1 = blownup_c1(12, 4, 5, SurfaceModel(0, 60, 60))
+    for c in (c1, 3 * c1, -c1, c1 - c1):
+        assert len(set(map(id, c.ep))) == 1 and len(set(map(id, c.epp))) == 1
 
 
 def test_class_arithmetic():
