@@ -7,23 +7,23 @@ T0 with T0^2 = 0, the fibre class F, and the exceptional classes
 E'_1..E'_s and E''_1..E''_t.  The only nonzero products among generators
 are T0.F = 1 and E'_i^2 = E''_j^2 = -1.
 
-``+``, ``-``, negation and scaling work once per run of entries that are
-the same objects as the entry before and share the result down the run.
-Cover constructions repeat one coefficient object down the E' and the E''
-entries, so runs last from c1 through Sym^2 and quotients to the pairing.
-
-``intersect`` sums the pairing in Python ints when every entry is a
-Fraction: the nonzero products share one common denominator, a repeated
-pair adds its previous integer term again, and each intersection number
-builds a single Fraction.  A class with a Q(g) entry takes the entry-wise
-sum in RatFunc arithmetic.
+A class with all coefficients rational is stored as a tuple of ints
+(t0, f, E'..., E''...) over one positive denominator, jointly coprime, so
+equal classes store alike.  ``+`` and ``-`` take one lcm, every result one
+gcd, and ``intersect`` is one integer dot product and one Fraction.  The
+tuples are built at their final size, ``(*it,)``: ``tuple(it)`` of an
+iterator with no length starts at ten slots and shrinks, which fills the
+interpreter's tuple free lists.  A class with a Q(g) coefficient keeps its
+entries: arithmetic works once per run of shared entry objects (``_runs``)
+and the pairing multiplies once per run of equal entry pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add, sub
+from itertools import groupby, repeat
+from math import gcd, lcm
+from operator import add, floordiv, mul, sub
 
 from .ratcalc import Rat, RatFunc, lift
 
@@ -85,52 +85,77 @@ class SurfaceModel:
                         tuple(1 if k == j else 0 for k in range(self.t)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class NumClass:
     """a.t0*T0 + a.f*F + sum a.ep[i]*E'_i + sum a.epp[j]*E''_j, coefficients in Q or Q(g)."""
 
+    __slots__ = ("model", "_c", "_den")
     model: SurfaceModel
-    t0: Rat | RatFunc
-    f: Rat | RatFunc
-    ep: tuple[Rat | RatFunc, ...] = field(default=())
-    epp: tuple[Rat | RatFunc, ...] = field(default=())
+    _c: tuple  # numerators over _den, or the Fraction and RatFunc entries if _den is None
+    _den: int | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "t0", lift(self.t0))
-        object.__setattr__(self, "f", lift(self.f))
-        object.__setattr__(self, "ep", tuple(map(lift, self.ep)))
-        object.__setattr__(self, "epp", tuple(map(lift, self.epp)))
-        if len(self.ep) != self.model.s or len(self.epp) != self.model.t:
+    def __init__(self, model: SurfaceModel, t0, f, ep=(), epp=()):
+        ep, epp = tuple(ep), tuple(epp)
+        vals = (*(x if type(x) is int else lift(x) for x in (t0, f, *ep, *epp)),)
+        if len(ep) != model.s or len(epp) != model.t:
             raise ModelMismatchError(
-                f"coefficient vectors ({len(self.ep)}, {len(self.epp)}) do not fit {self.model}")
+                f"coefficient vectors ({len(ep)}, {len(epp)}) do not fit {model}")
+        if RatFunc in map(type, vals):
+            _new(model, (*map(lift, vals),), None, self)
+        else:
+            den = lcm(*[x.denominator for x in vals])
+            _new(model, (*(x.numerator * (den // x.denominator) for x in vals),), den, self)
 
-    def _check(self, other: NumClass) -> None:
+    def _entries(self) -> tuple:
+        """(t0, f, *ep, *epp) as Fraction or RatFunc objects, one object per value."""
+        if self._den is None:
+            return self._c
+        fracs = {n: Fraction(n, self._den) for n in set(self._c)}
+        return (*map(fracs.__getitem__, self._c),)
+
+    t0 = property(lambda self: self._entries()[0])
+    f = property(lambda self: self._entries()[1])
+    ep = property(lambda self: self._entries()[2:2 + self.model.s])
+    epp = property(lambda self: self._entries()[2 + self.model.s:])
+
+    def _combine(self, op, other: NumClass) -> NumClass:
         if self.model != other.model:
             raise ModelMismatchError(f"{self.model} vs {other.model}")
-
-    def _map(self, op, other: NumClass) -> NumClass:
-        """op over paired entries via _runs; op keeps entry types, so skip __post_init__."""
-        self._check(other)
-        out = object.__new__(NumClass)
-        vals = (self.model, op(self.t0, other.t0), op(self.f, other.f),
-                _runs(op, self.ep, other.ep), _runs(op, self.epp, other.epp))
-        for name, val in zip(("model", "t0", "f", "ep", "epp"), vals):
-            object.__setattr__(out, name, val)
-        return out
+        da, db = self._den, other._den
+        if da is None or db is None:
+            return _new(self.model, _runs(op, self._entries(), other._entries()), None)
+        m = lcm(da, db)
+        return _new(self.model, (*map(op, map(mul, self._c, repeat(m // da)),
+                                      map(mul, other._c, repeat(m // db))),), m)
 
     def __add__(self, other: NumClass) -> NumClass:
-        return self._map(add, other) if isinstance(other, NumClass) else NotImplemented
+        return self._combine(add, other) if isinstance(other, NumClass) else NotImplemented
 
     def __sub__(self, other: NumClass) -> NumClass:
-        return self._map(sub, other) if isinstance(other, NumClass) else NotImplemented
-
-    def __neg__(self) -> NumClass:
-        return self._map(lambda x, _: -x, self)
+        return self._combine(sub, other) if isinstance(other, NumClass) else NotImplemented
 
     def __rmul__(self, k) -> NumClass:
-        return self._map(lambda x, _, k=lift(k): k * x, self)
+        k = k if type(k) is int else lift(k)
+        if self._den is None or type(k) is RatFunc:
+            c = self._entries()
+            return _new(self.model, _runs(lambda x, _: k * x, c, c), None)
+        return _new(self.model, (*map(mul, self._c, repeat(k.numerator)),),
+                    self._den * k.denominator)
 
     __mul__ = __rmul__
+
+    def __neg__(self) -> NumClass:
+        return -1 * self
+
+    def __eq__(self, other):
+        if not isinstance(other, NumClass):
+            return NotImplemented
+        if self._den is None or other._den is None:  # Fraction 1 == constant RatFunc 1
+            return (self.model, self._entries()) == (other.model, other._entries())
+        return (self.model, self._den, self._c) == (other.model, other._den, other._c)
+
+    def __hash__(self):
+        return hash((self.model, self._entries()))
 
     def __str__(self) -> str:
         terms = [(self.t0, "T0"), (self.f, "F")]
@@ -140,34 +165,29 @@ class NumClass:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def intersect(a: NumClass, b: NumClass) -> Rat | RatFunc:
-    """Intersection number under T0.F = 1, T0^2 = F^2 = 0, E^2 = -1, E mutually orthogonal.
+def _new(model: SurfaceModel, c: tuple, den: int | None, out=None) -> NumClass:
+    """A NumClass (out, if given) over entries c, or over numerators c / den, reduced."""
+    if den is not None:
+        g = gcd(den, *c)
+        c, den = (*map(floordiv, c, repeat(g)),), den // g
+    out = object.__new__(NumClass) if out is None else out
+    for name, val in (("model", model), ("_c", c), ("_den", den)):
+        object.__setattr__(out, name, val)
+    return out
 
-    With all entries in Q, each nonzero product is brought onto one running
-    common denominator (an lcm, nothing reduced per term) and one Fraction is
-    built at the end.  Any Q(g) entry takes the entry-wise RatFunc sum.
-    """
+
+def intersect(a: NumClass, b: NumClass) -> Rat | RatFunc:
+    """Intersection number under T0.F = 1, T0^2 = F^2 = 0, E^2 = -1, E mutually orthogonal."""
     if not (isinstance(a, NumClass) and isinstance(b, NumClass)):
         raise TypeError(f"intersect needs NumClasses, got {type(a).__name__}, {type(b).__name__}")
-    a._check(b)
-    if RatFunc in map(type, (a.t0, a.f, b.t0, b.f, *a.ep, *a.epp, *b.ep, *b.epp)):
-        out = a.t0 * b.f + a.f * b.t0
-        out -= sum(x * y for x, y in zip(a.ep, b.ep))
-        out -= sum(x * y for x, y in zip(a.epp, b.epp))
-        return out
-    num, den = 0, 1
-    for sign, xs, ys in ((1, (a.t0, a.f), (b.f, b.t0)), (-1, a.ep + a.epp, b.ep + b.epp)):
-        px = py = _NOTHING
-        for x, y in zip(xs, ys):
-            if x is not px or y is not py:
-                px, py, term = x, y, 0
-                (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
-                if xn and yn:
-                    m = lcm(den, xd * yd)
-                    num, den = num * (m // den), m
-                    term = sign * xn * yn * (m // (xd * yd))
-            num += term
-    return Fraction(num, den)
+    if a.model != b.model:
+        raise ModelMismatchError(f"{a.model} vs {b.model}")
+    if a._den is None or b._den is None:
+        x, y = a._entries(), b._entries()
+        runs = groupby(zip(x[2:], y[2:]))
+        return x[0] * y[1] + x[1] * y[0] - sum(len([*r]) * (p * q) for (p, q), r in runs)
+    x, y = a._c, b._c
+    return Fraction(x[0] * y[1] + x[1] * y[0] - sum(map(mul, x[2:], y[2:])), a._den * b._den)
 
 
 def self_intersection(a: NumClass) -> Rat | RatFunc:

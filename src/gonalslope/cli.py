@@ -69,32 +69,42 @@ def _norm_case(text: str) -> str:
     return text.strip().replace("-", "_")
 
 
-def _parse_int(key: str, value: str) -> int:
+def _parse_int(value: str) -> int:
     try:
         return int(value.strip(), 10)
     except ValueError:
-        raise ScenarioError(f"{key}: expected an integer, got {value!r}") from None
+        raise ScenarioError(f"expected an integer, got {value!r}") from None
 
 
 def _parse_grid(value: str) -> tuple[Fraction, ...]:
     toks = [tok.strip() for tok in value.split(",")]
     if not toks or any(not tok for tok in toks):
-        raise ScenarioError(f"c1sq-grid: empty entry in {value!r}")
+        raise ScenarioError(f"empty entry in {value!r}")
     return tuple(parse_rat(tok) for tok in toks)
 
 
 def _parse_format(value: str) -> str:
     value = value.strip()
     if value not in FORMATS:
-        raise ScenarioError(f"format: expected one of {FORMATS}, got {value!r}")
+        raise ScenarioError(f"expected one of {FORMATS}, got {value!r}")
     return value
 
 
 def _parse_range(value: str) -> tuple[int, int]:
     m = re.fullmatch(r"\s*(\d+)\s*\.\.\s*(\d+)\s*", value)
     if not m:
-        raise ScenarioError(f"genus-range: expected 'lo..hi', got {value!r}")
+        raise ScenarioError(f"expected 'lo..hi', got {value!r}")
     return int(m.group(1)), int(m.group(2))
+
+
+def _option_type(parse):
+    """parse as an argparse type: the text of a ValueError it raises is the usage error."""
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+    return typed
 
 
 def _fmt(x) -> str:
@@ -120,13 +130,13 @@ def _approx(x) -> str:
 #: scenario-file key -> (the options it fills, parser of its value); a key
 #: that fills several options parses to one value per option
 _FILE_KEYS = {
-    "degree": (("n",), lambda v: _parse_int("degree", v)),
-    "genus": (("g", "g_min", "g_max"), lambda v: (_parse_int("genus", v),) * 3),
+    "degree": (("n",), _parse_int),
+    "genus": (("g", "g_min", "g_max"), lambda v: (_parse_int(v),) * 3),
     "genus-range": (("g_min", "g_max"), _parse_range),
     "case": (("case",), _norm_case),
-    "gamma": (("gamma",), lambda v: _parse_int("gamma", v)),
-    "s": (("s",), lambda v: _parse_int("s", v)),
-    "t": (("t",), lambda v: _parse_int("t", v)),
+    "gamma": (("gamma",), _parse_int),
+    "s": (("s",), _parse_int),
+    "t": (("t",), _parse_int),
     "c1sq-grid": (("c1sq_grid",), _parse_grid),
     "format": (("format",), _parse_format),
 }
@@ -161,7 +171,7 @@ def load_scenario_file(path: str) -> dict[str, tuple]:
         try:
             parsed = parse(value)
         except (ScenarioError, ValueError) as exc:
-            raise ScenarioError(f"{path}:{lineno}: {exc}") from None
+            raise ScenarioError(f"{path}:{lineno}: {key}: {exc}") from None
         data[key] = parsed if len(dests) > 1 else (parsed,)
     return data
 
@@ -430,13 +440,13 @@ _OPTIONS = {
     "--gamma": dict(type=int, help="factorizing discriminant genus"),
     "--g-min": dict(type=int, help="first genus"),
     "--g-max": dict(type=int, help="last genus"),
-    "--c1sq": dict(type=parse_rat, metavar="RAT", help="c1(E)^2"),
-    "--c2": dict(type=parse_rat, metavar="RAT", help="c2(E) (degree 3)"),
-    "--c2e": dict(type=parse_rat, metavar="RAT", help="c2(E) (degree 4)"),
-    "--c2f": dict(type=parse_rat, metavar="RAT", help="c2(F) (degree 4)"),
+    "--c1sq": dict(type=_option_type(parse_rat), metavar="RAT", help="c1(E)^2"),
+    "--c2": dict(type=_option_type(parse_rat), metavar="RAT", help="c2(E) (degree 3)"),
+    "--c2e": dict(type=_option_type(parse_rat), metavar="RAT", help="c2(E) (degree 4)"),
+    "--c2f": dict(type=_option_type(parse_rat), metavar="RAT", help="c2(F) (degree 4)"),
     "--s": dict(type=int, help="total-ramification blow-ups (degree 4 only)"),
     "--t": dict(type=int, help="index-three blow-ups"),
-    "--c1sq-grid": dict(type=_parse_grid, metavar="RAT,RAT,...",
+    "--c1sq-grid": dict(type=_option_type(_parse_grid), metavar="RAT,RAT,...",
                         help="comma-separated c1^2 grid"),
 }
 

@@ -8,14 +8,17 @@ numerator and denominator as tuples of int.  Every instance is held in
 canonical form: numerator and denominator coprime as polynomials, all
 coefficients jointly coprime, leading denominator coefficient positive.
 The common factor is found by a primitive polynomial remainder sequence
-over Z, so no arithmetic leaves the integers.  It runs only where a
-common factor can appear: between two nonconstant operands, and in
-``compose``.  If a/b is canonical and p/q is a nonzero constant, then
-q*a + p*b and q*b are coprime, and so are p*a, q*b and q*a, p*b; so +, -,
-* and / with an int, Fraction or constant RatFunc on either side fix only
-the integer content and the denominator's sign (``_normal``).  Equality
-is plain structural comparison, and an independent check is always
-available by evaluating at enough sample points.
+over Z, so no arithmetic leaves the integers.  It runs only between two
+nonconstant operands.  If a/b is canonical and p/q is a nonzero constant,
+then q*a + p*b and q*b are coprime, and so are p*a, q*b and q*a, p*b; so
++, -, * and / with an int, Fraction or constant RatFunc on either side, and
+``compose``, fix only the integer content and the denominator's sign
+(``_normal``).  For ``compose``, with p/q canonical and k = max(deg a,
+deg b): a common prime factor of q^k a(p/q) and q^k b(p/q) divides q (from
+u*a + v*b = 1), and modulo it they are a_k p^k and b_k p^k, not both 0 as
+p is prime to q.  Equality is plain structural comparison, and an
+independent check is always available by evaluating at enough sample
+points.
 """
 from __future__ import annotations
 
@@ -53,6 +56,8 @@ def parse_rat(text: str) -> Rat:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:  # more digits than the interpreter converts to an int
+        raise ValueError(f"too many digits in value: {text!r}") from None
 
 
 # -- dense polynomials over Z: tuples of int, lowest degree first, no trailing --
@@ -344,13 +349,13 @@ class RatFunc:
         h = _operand(inner)
         if h is None:
             raise TypeError(f"cannot substitute {inner!r}")
-        # f(p/q) = q^k num(p/q) / (q^k den(p/q)), one canonicalisation at the end
+        # f(p/q) = q^k num(p/q) / (q^k den(p/q)), coprime (module docstring)
         p, q, _ = h
         k = max(len(self.num), len(self.den)) - 1
         d = _phom(self.den, p, q, k)
         if not d:
             raise ZeroDivisionError("denominator vanishes identically under substitution")
-        return _canon(_phom(self.num, p, q, k), d)
+        return _normal(_phom(self.num, p, q, k), d)
 
     def __str__(self) -> str:
         if self.is_constant():

@@ -144,6 +144,30 @@ def test_q_of_g_pairing_keeps_the_entrywise_ratfunc(model):
         assert intersect(c1, k) == (5 * G + 1) / (G + 3)
 
 
+def test_q_of_g_self_pairing_at_sixty_blowups_matches_the_entrywise_sum():
+    c1 = blownup_c1(G, 4, 1, SurfaceModel(2, 60, 60))
+    got = intersect(c1, c1)
+    assert type(got) is RatFunc and got == entrywise(c1, c1) == 1
+
+
+def test_q_of_g_pairing_multiplies_once_per_run(monkeypatch):
+    m = SurfaceModel(0, 60, 60)
+    c = NumClass(m, G, 1, (1 / G,) * 30 + (G + 1,) * 30, (G,) * 60)
+    want = entrywise(c, c)
+    products = []
+    original = RatFunc.__mul__
+
+    def counting(x, y):
+        products.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    monkeypatch.setattr(RatFunc, "__rmul__", counting)
+    assert intersect(c, c) == want
+    # t0.f and f.t0, then per run one entry product and one run-length scaling
+    assert len(products) == 2 + 2 * 3
+
+
 def test_pairing_refuses_mixed_models_on_both_paths():
     m = SurfaceModel(1, 1, 1)
     other = SurfaceModel(1, 1, 2)
@@ -237,6 +261,49 @@ def test_arithmetic_keeps_one_object_per_run():
     c1 = blownup_c1(12, 4, 5, SurfaceModel(0, 60, 60))
     for c in (c1, 3 * c1, -c1, c1 - c1):
         assert len(set(map(id, c.ep))) == 1 and len(set(map(id, c.epp))) == 1
+
+
+# -- integer storage of rational classes -----------------------------------
+
+
+@pytest.mark.parametrize("k", [3, -1, Fraction(-7, 4)], ids=str)
+def test_rational_arithmetic_builds_no_fraction_per_entry(k, monkeypatch):
+    rng = random.Random(7)
+    m = SurfaceModel(2, 60, 60)
+    a, b = rand_class(rng, m), rand_class(rng, m)
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for op in (lambda: a + b, lambda: a - b, lambda: -a, lambda: k * a, lambda: a * k):
+        op()
+        assert built == []
+    intersect(a, b)
+    assert len(built) == 1
+
+
+@given(class_pairs())
+def test_equal_classes_by_other_routes_compare_and_hash_equal(pair):
+    a, b = pair
+    as_consts = NumClass(a.model, RatFunc.const(a.t0), RatFunc.const(a.f),
+                         tuple(map(RatFunc.const, a.ep)), tuple(map(RatFunc.const, a.epp)))
+    for again in (2 * (a * Fraction(1, 2)), a - b + b, -(-a), a + 0 * b, as_consts):
+        assert again == a and a == again and hash(again) == hash(a)
+    assert (a + b == a) == (b == a.model.zero())
+
+
+def test_classes_are_immutable():
+    for c in (canonical_class(SurfaceModel(1, 2, 2)), blownup_c1(G, 4, 1, SurfaceModel(1, 2, 2))):
+        for name in ("model", "t0", "f", "ep", "epp", "other"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(c, name)
+        assert c == NumClass(c.model, c.t0, c.f, c.ep, c.epp)
 
 
 def test_class_arithmetic():

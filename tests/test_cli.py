@@ -177,7 +177,21 @@ def test_short_rejected_value_is_echoed_in_full(value, capsys):
     code, _, err = run_cli(["slope", "--n", "3", "--g", "5", "--c1sq", value, "--c2", "1"],
                            capsys)
     assert code == 1
-    assert err.endswith(f"error: argument --c1sq: invalid parse_rat value: '{value}'\n")
+    assert err.endswith(f"error: argument --c1sq: not an exact rational literal: '{value}'\n")
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["slope", "--n", "3", "--g", "5", "--c1sq", "1/0", "--c2", "1"],
+     "argument --c1sq: zero denominator in '1/0'"),
+    (["report", "--n", "3", "--g", "5", "--case", "general-odd", "--c1sq-grid", "1,,2"],
+     "argument --c1sq-grid: empty entry in '1,,2'"),
+    (["report", "--n", "3", "--g", "5", "--case", "general-odd", "--c1sq-grid", "1,2/0"],
+     "argument --c1sq-grid: zero denominator in '2/0'"),
+], ids=["c1sq", "grid-empty", "grid-zero"])
+def test_rejected_option_value_gives_the_reason(argv, reason, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: {reason}\n")
 
 
 def test_slope_zero_denominator_is_a_usage_error(child_env):

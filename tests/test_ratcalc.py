@@ -295,6 +295,25 @@ def test_compose_agrees_with_evaluation_off_poles(f, h, x):
     assert f.compose(h)(x) == expect
 
 
+#: degree <= 5 over degree <= 5, the zero function and constants included
+compose_funcs = st.builds(RatFunc, st.lists(coefficients, max_size=6).map(tuple),
+                          st.lists(coefficients, min_size=1, max_size=6).map(tuple).filter(any))
+
+
+@oracle_settings
+@given(compose_funcs, compose_funcs | coefficients)
+def test_compose_pair_is_coprime_before_any_gcd(f, h):
+    """q^k num(p/q) and q^k den(p/q) share no factor, so compose skips the gcd."""
+    p, q, _ = ratcalc._operand(h)
+    k = max(len(f.num), len(f.den)) - 1
+    num, den = ratcalc._phom(f.num, p, q, k), ratcalc._phom(f.den, p, q, k)
+    assume(den)
+    if num:
+        assert len(_pgcd(num, den)) == 1
+    got, want = f.compose(h), ratcalc._canon(num, den)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
 @oracle_settings
 @given(ratfuncs, nonzero_int_polys)
 def test_common_factor_leaves_canonical_form_unchanged(f, factor):
