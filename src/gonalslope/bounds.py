@@ -266,23 +266,33 @@ def _substituted(spec: ScenarioSpec, g, c1sq, c2):
     return fourgonal_blowup_parts(g, c1sq, c2e_bound_fourgonal(c1sq, c2), c2, spec.s, spec.t)
 
 
+def _derived(spec: ScenarioSpec, q: RatFunc, corr: Rat) -> RatFunc:
+    """The slope over Q(g) at c1^2 = 1 once the c2 bound q*(c1^2 + corr) is in.
+
+    Both constant terms of the substituted K_f^2 and chi_f must vanish, which
+    certifies that c1^2 cancels; the degree-4 slope also runs the
+    fourgonal_rearranged self-check.
+    """
+    const = _substituted(spec, G, 0, q * corr)
+    if not all(x.is_zero() for x in const):
+        raise AssertionError(f"c1^2 failed to cancel for {spec}: constant terms {const}")
+    return (slope_trigonal(G, 1, q) if spec.n == 3
+            else slope_fourgonal(G, 1, c2e_bound_fourgonal(1, q), q)).slope
+
+
 def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) -> BoundResult:
     """Substitute the case's c2 bound into the slope and simplify over Q(g).
 
-    Both constant terms of the substituted K_f^2 and chi_f must vanish, which
-    certifies that c1^2 cancels; the bound is the slope at c1^2 = 1.  Blow-up
-    scenarios do not cancel c1^2 and belong to blowup_bound_report instead.
+    The bound is _derived: the slope at c1^2 = 1, certified to cancel c1^2.
+    Blow-up scenarios do not cancel c1^2 and belong to blowup_bound_report
+    instead.
     """
     spec.validate(enforce_genus=not allow_out_of_range)
     if spec.s or spec.t:
         raise ScenarioError("c1^2 does not cancel once s or t is positive; "
                             "use blowup_bound_report")
     q, corr, strict, chain, _ = _c2_chain(spec)
-    const = _substituted(spec, G, 0, q * corr)
-    if not all(x.is_zero() for x in const):
-        raise AssertionError(f"c1^2 failed to cancel for {spec}: constant terms {const}")
-    derived = (slope_trigonal(G, 1, q) if spec.n == 3
-               else slope_fourgonal(G, 1, c2e_bound_fourgonal(1, q), q)).slope
+    derived = _derived(spec, q, corr)
     stated = _STATED[spec.case][spec.n](spec.gamma)  # spec validated above
     disc = stated - derived
     notes = []
@@ -335,27 +345,54 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     K_f^2 and chi_f are affine in c1^2; each admissible grid point (chi_f > 0)
     is tagged below/equal/above the blown-down baseline.  The report also
     carries the exact c1^2 -> infinity limit, which recovers that baseline.
+    q and strictness do not read s or t, so one c2 chain serves both the
+    rows and the baseline, which _derived certifies as derived_slope_bound
+    does.  The rows are computed in integers: each affine part is two
+    numerators over one denominator, a grid point p/r gives one Fraction per
+    cell, chi_f > 0 is a sign test on its numerator, and the verdict is a
+    cross-multiplication against the baseline at g.  The grid is sorted and
+    deduplicated as integers over its common denominator.
     """
-    # validates g: the genus rules read neither s nor t
-    base = derived_slope_bound(replace(spec, s=0, t=0), allow_out_of_range)
-    baseline_at_g = base.derived_bound(spec.g)
+    base_spec = replace(spec, s=0, t=0)
+    base_spec.validate(enforce_genus=not allow_out_of_range)  # genus rules read neither s nor t
     q, corr, strict, chain, _ = _c2_chain(spec)
+    baseline = _derived(base_spec, q, 0)
+    baseline_at_g = baseline(spec.g)
     coeff = q(spec.g)
     kf2_0, chif_0 = _substituted(spec, spec.g, 0, coeff * corr)
     kf2_1, chif_1 = _substituted(spec, spec.g, 1, coeff * (1 + corr))
     kf2_lead, chif_lead = kf2_1 - kf2_0, chif_1 - chif_0
+    k0, k1, kd = _on_one_denominator(kf2_0, kf2_lead)
+    x0, x1, xd = _on_one_denominator(chif_0, chif_lead)
+    b0, b1, bd = _on_one_denominator(coeff * corr, coeff)
+    # slope = kn*xd / (xn*kd) against the baseline B = u/v: kn*xd*v vs u*kd*xn
+    k_scale, x_scale = xd * baseline_at_g.denominator, kd * baseline_at_g.numerator
 
+    points = [lift(x) for x in c1sq_grid]
+    grid_den = math.lcm(*(x.denominator for x in points))
+    by_key = {x.numerator * (grid_den // x.denominator): x for x in points}
     rows = []
-    for c1sq in sorted(set(map(lift, c1sq_grid))):
-        kf2, chif = kf2_0 + kf2_lead * c1sq, chif_0 + chif_lead * c1sq
-        sl = kf2 / chif if chif > 0 else None
-        verdict = ("inadmissible" if sl is None else "below" if sl < baseline_at_g
-                   else "equal" if sl == baseline_at_g else "above")
-        rows.append(BlowupRow(c1sq, coeff * (c1sq + corr), kf2, chif, sl, verdict))
+    for c1sq in map(by_key.__getitem__, sorted(by_key)):
+        p, r = c1sq.numerator, c1sq.denominator  # each cell is (n0*r + n1*p) / (den*r)
+        kn, xn = k0 * r + k1 * p, x0 * r + x1 * p
+        if xn > 0:
+            sl = Fraction(kn * xd, xn * kd)
+            left, right = kn * k_scale, xn * x_scale
+            verdict = "below" if left < right else "equal" if left == right else "above"
+        else:
+            sl, verdict = None, "inadmissible"
+        rows.append(BlowupRow(c1sq, Fraction(b0 * r + b1 * p, bd * r),
+                              Fraction(kn, kd * r), Fraction(xn, xd * r), sl, verdict))
     slopes = [r.slope for r in rows if r.slope is not None]
     if not slopes:
         raise ScenarioError("empty admissible grid: chi_f > 0 nowhere on it")
     limit = kf2_lead / chif_lead
     admissible_from = -chif_0 / chif_lead if chif_lead > 0 else None
-    return BlowupReport(spec, tuple(rows), base.derived_bound, baseline_at_g,
+    return BlowupReport(spec, tuple(rows), baseline, baseline_at_g,
                         min(slopes), limit, admissible_from, strict, chain)
+
+
+def _on_one_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(a, b) as integer numerators over their least common denominator, then that denominator."""
+    den = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den

@@ -159,8 +159,9 @@ class NumClass:
 
     def __str__(self) -> str:
         terms = [(self.t0, "T0"), (self.f, "F")]
-        terms += [(c, f"E'{i}") for i, c in enumerate(self.ep) if c]
-        terms += [(c, f"E''{j}") for j, c in enumerate(self.epp) if c]
+        # != 0, not truth: a RatFunc has no __bool__, so a zero one is truthy
+        terms += [(c, f"E'{i}") for i, c in enumerate(self.ep) if c != 0]
+        terms += [(c, f"E''{j}") for j, c in enumerate(self.epp) if c != 0]
         bits = (f"({c})*{gen}" if " " in str(c) else f"{c}*{gen}" for c, gen in terms)
         return " + ".join(bits).replace("+ -", "- ")
 

@@ -28,7 +28,7 @@ from math import gcd, lcm
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 class PoleError(ZeroDivisionError):
@@ -36,10 +36,10 @@ class PoleError(ZeroDivisionError):
 
 
 def _exact(x) -> Fraction:
-    """x as a Fraction; a float or any other inexact value is refused."""
+    """x as a Fraction (a plain Fraction as is); a float or any other inexact value is refused."""
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"not an exact rational: {x!r}")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def lift(x):
@@ -50,10 +50,12 @@ def lift(x):
 def parse_rat(text: str) -> Rat:
     """Parse an exact integer or 'p/q' literal. Anything else is rejected."""
     text = text.strip()
-    if not _RAT_RE.match(text):
+    m = _RAT_RE.match(text)
+    if not m:
         raise ValueError(f"not an exact rational literal: {text!r}")
+    num, den = m.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:  # more digits than the interpreter converts to an int
@@ -89,7 +91,7 @@ def _pmul(a: _Poly, b: _Poly) -> _Poly:
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:  # a scalar multiple, the common case
-        return a if b[0] == 1 else tuple(b[0] * c for c in a)
+        return a if b[0] == 1 else (*(b[0] * c for c in a),)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -100,7 +102,7 @@ def _pmul(a: _Poly, b: _Poly) -> _Poly:
 
 def _primitive(a: _Poly) -> _Poly:
     c = gcd(*a)
-    return a if c == 1 else tuple(x // c for x in a)
+    return a if c == 1 else (*(x // c for x in a),)
 
 
 def _prem(a: _Poly, b: _Poly) -> _Poly:
@@ -156,7 +158,7 @@ def _normal(num: _Poly, den: _Poly) -> RatFunc:
         den = (1,)
     c = gcd(*num, *den) * (-1 if den[-1] < 0 else 1)
     if c != 1:
-        num, den = tuple(x // c for x in num), tuple(x // c for x in den)
+        num, den = (*(x // c for x in num),), (*(x // c for x in den),)
     out = object.__new__(RatFunc)
     out.num, out.den = num, den
     return out
@@ -175,7 +177,7 @@ def _phom(a: _Poly, p: _Poly, q: _Poly, k: int) -> _Poly:
     """q^k a(p/q) for polynomials p, q and k >= deg a: sum of a_i p^i q^(k-i)."""
     acc, qk = (), (1,)
     for c in reversed(a + (0,) * (k + 1 - len(a))):
-        acc = _padd(_pmul(acc, p), tuple(c * x for x in qk))
+        acc = _padd(_pmul(acc, p), (*(c * x for x in qk),))
         qk = _pmul(qk, q)
     return acc
 
@@ -271,7 +273,7 @@ class RatFunc:
 
     def __neg__(self):
         out = object.__new__(RatFunc)
-        out.num = tuple(-c for c in self.num)
+        out.num = (*(-c for c in self.num),)
         out.den = self.den
         return out
 

@@ -1,10 +1,12 @@
 """Relative invariants and slope of a fibred surface from cover data.
 
 All formulas work uniformly over exact rationals and over RatFunc, so a
-genus can be left symbolic.  K_f^2 and chi_f are written once, in _parts;
-the degree-3 and degree-4 blow-up parts only supply R^2, and the s = t = 0
-entry points delegate to the blow-up ones.  The slope is their quotient,
-with a zero chi_f reported as an explicit error.
+genus can be left symbolic.  K_f^2 and chi_f are written once, in _parts,
+with one division each; an int genus or blow-up count stays an int there,
+so only the Chern data enter as Fractions.  The degree-3 and degree-4
+blow-up parts only supply R^2, and the s = t = 0 entry points delegate to
+the blow-up ones.  The slope is their quotient, with a zero chi_f reported
+as an explicit error.
 """
 from __future__ import annotations
 
@@ -63,19 +65,19 @@ def moduli_conversion(inv: FibrationInvariants) -> ModuliData:
 def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
     """(K_f^2, chi_f) of a degree-n cover fibration, s E' and t E'' blown down.
 
-    K_f^2 = R^2 - 4c1^2/(g+n-1) and chi_f = (g+n-2)/(2(g+n-1)) c1^2 - c2,
-    plus 3g/(2(g+n-1)) per E' and (g+n-3)/(g+n-1) per E''.
+    K_f^2 = R^2 - 4c1^2/(g+n-1) and
+    chi_f = ((g+n-2)c1^2 + 3gs + 2(g+n-3)t) / (2(g+n-1)) - c2,
+    one division per output.  Only c1^2, c2 and R^2 are lifted; an int g, n,
+    s or t stays an int, so the blow-up terms cost no Fraction at a concrete
+    genus.  The outputs are Fraction, or RatFunc where an input is one.
     """
     if s or t:
         check_blowups(n, s, t)
-    g, n, c1sq, c2, rsq, s, t = map(lift, (g, n, c1sq, c2, rsq, s, t))
+    c1sq, c2, rsq = lift(c1sq), lift(c2), lift(rsq)
+    g, n, s, t = (x if type(x) is int else lift(x) for x in (g, n, s, t))
     d = g + n - 1
-    chif = (g + n - 2) / (2 * d) * c1sq - c2
-    if s:
-        chif += 3 * g / (2 * d) * s
-    if t:
-        chif += (g + n - 3) / d * t
-    return rsq - 4 * c1sq / d, chif
+    blowups = 3 * g * s + 2 * (g + n - 3) * t if s or t else 0
+    return rsq - 4 * c1sq / d, ((g + n - 2) * c1sq + blowups) / (2 * d) - c2
 
 
 def _invariants(kf2, chif) -> FibrationInvariants:

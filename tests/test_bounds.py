@@ -490,6 +490,51 @@ def test_blowup_report_matches_per_point_route(spec, grid):
     assert rep.admissible_from == (-p0[1] / chif_lead if chif_lead > 0 else None)
 
 
+def _row_oracle_cases():
+    """Seeded grids over the blow-up table and four blown-down scenarios.
+
+    Every grid holds negative c1^2 and 0, both with chi_f <= 0, the point
+    where chi_f = 0 exactly, and one point past it.  Blown down, c1^2
+    cancels, so every admissible row is 'equal'.
+    """
+    rng = random.Random(2718)
+    flat = [(4, 11, "general_odd", None, 0, 0), (3, 12, "general_even", None, 0, 0),
+            (4, 13, "nonfactorizing", None, 0, 0), (3, 5, "index_only", None, 0, 0)]
+    for fields in _BLOWUP_SPECS[:12] + tuple(flat):
+        spec = ScenarioSpec(*fields)
+        _, (_, chif_0) = _per_point_parts(spec, Fraction(0))
+        _, (_, chif_1) = _per_point_parts(spec, Fraction(1))
+        zero = -chif_0 / (chif_1 - chif_0)
+        grid = [Fraction(rng.randint(-400, 400), rng.randint(1, 11)) for _ in range(10)]
+        yield spec, grid + [Fraction(-7, 3), 0, zero, zero + Fraction(1, 10 ** 6), 1000]
+
+
+@pytest.mark.parametrize("spec,grid", list(_row_oracle_cases()), ids=lambda x: str(x)[:60])
+def test_blowup_report_rows_match_the_per_row_fraction_formula(spec, grid):
+    """Integer rows against K_f^2, chi_f and the c2 bound evaluated in Fractions per row."""
+    c2_0, (kf2_0, chif_0) = _per_point_parts(spec, Fraction(0))
+    c2_1, (kf2_1, chif_1) = _per_point_parts(spec, Fraction(1))
+    baseline = derived_slope_bound(replace(spec, s=0, t=0), True).derived_bound(spec.g)
+    rep = blowup_bound_report(spec, grid, allow_out_of_range=True)
+    assert [r.c1sq for r in rep.rows] == sorted(set(grid))
+    verdicts = set()
+    for row in rep.rows:
+        x = row.c1sq
+        kf2, chif = kf2_0 + (kf2_1 - kf2_0) * x, chif_0 + (chif_1 - chif_0) * x
+        slope = kf2 / chif if chif > 0 else None
+        verdict = ("inadmissible" if slope is None else "below" if slope < baseline
+                   else "equal" if slope == baseline else "above")
+        assert (row.c2_bound, row.kf2, row.chif, row.slope, row.verdict) == \
+            (c2_0 + (c2_1 - c2_0) * x, kf2, chif, slope, verdict), x
+        cells = (row.c2_bound, row.kf2, row.chif) + ((row.slope,) if slope is not None else ())
+        assert all(type(c) is Fraction for c in cells)
+        verdicts.add(verdict)
+    assert "inadmissible" in verdicts
+    if not (spec.s or spec.t):
+        assert verdicts == {"inadmissible", "equal"}
+    assert rep.minimum == min(r.slope for r in rep.rows if r.slope is not None)
+
+
 # -- cases as Maroni strata: m = beta - alpha picks one bound per degree --------
 
 

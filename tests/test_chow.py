@@ -347,6 +347,12 @@ def test_str_parenthesises_compound_coefficients():
     assert str(NumClass(SurfaceModel(0, 1, 0), 1, 2, (1 - G,))) == "1*T0 + 2*F + (-g + 1)*E'0"
 
 
+def test_str_omits_zero_entries_of_either_type():
+    m = SurfaceModel(0, 2, 2)
+    assert str(NumClass(m, 1, 0, (G - G, G), (0, Fraction(0)))) == "1*T0 + 0*F + g*E'1"
+    assert str(NumClass(SurfaceModel(0, 1, 1), 1, 0, (G - G,), (0,))) == "1*T0 + 0*F"
+
+
 def test_str_of_rational_classes_keeps_its_form():
     rng = random.Random(113)
     for _ in range(200):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import gonalslope
-from gonalslope import cli
+from gonalslope import bounds, cli
 from gonalslope.bounds import ScenarioSpec, c2_bounds_blowup, derived_slope_bound
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -952,3 +952,17 @@ def test_one_validation_per_call(argv, capsys, monkeypatch):
                         lambda spec, *args, **kw: calls.append(spec) or validate(spec, *args, **kw))
     code, _, err = run_cli(argv, capsys)
     assert (code, err, len(calls)) == (0, "", 1)
+
+
+def test_report_runs_one_c2_chain_and_no_derivation(capsys, monkeypatch):
+    calls = []
+    chain = bounds._c2_chain
+    monkeypatch.setattr(bounds, "_c2_chain",
+                        lambda spec: calls.append("chain") or chain(spec))
+    for module in (bounds, cli):
+        monkeypatch.setattr(module, "derived_slope_bound",
+                            lambda *args, **kw: calls.append("derive"))
+    code, out, err = run_cli(["report", "--n", "4", "--g", "13", "--case", "nonfactorizing",
+                              "--s", "2", "--t", "1", "--c1sq-grid=-3,14,1000"], capsys)
+    assert (code, err, calls) == (0, "", ["chain"])
+    assert "baseline" in out

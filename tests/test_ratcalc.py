@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -41,6 +44,44 @@ def test_parse_rat_accepts_exact_literals(text, value):
 def test_parse_rat_rejects_inexact_or_malformed(text):
     with pytest.raises(ValueError):
         parse_rat(text)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.from_regex(r"\A[+-]?[0-9]{1,40}(/[0-9]{1,40})?\Z"))
+def test_parse_rat_round_trips_against_fraction(text):
+    try:
+        want = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match=f"^zero denominator in {re.escape(repr(text))}$"):
+            parse_rat(text)
+        return
+    got = parse_rat(text)
+    assert (type(got), got) == (Fraction, want)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter sets no int-conversion digit limit")
+def test_parse_rat_too_many_digits_text():
+    long = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValueError, match=r"^too many digits in value: '1+/2'$"):
+        parse_rat(long + "/2")
+    with pytest.raises(ValueError, match=r"^too many digits in value: '3/1+'$"):
+        parse_rat("3/" + long)
+
+
+def test_exact_returns_a_plain_fraction_as_is():
+    f = Fraction(7, 3)
+    assert ratcalc._exact(f) is f
+
+    class Sub(Fraction):
+        pass
+
+    sub = Sub(7, 3)
+    assert type(ratcalc._exact(sub)) is Fraction and ratcalc._exact(sub) == f
+    assert type(ratcalc._exact(5)) is Fraction and ratcalc._exact(5) == 5
+    for bad in (1.5, Decimal("1.5")):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            ratcalc._exact(bad)
 
 
 def test_canonical_cancellation():

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gonalslope import slope
-from gonalslope.ratcalc import G, RatFunc
+from gonalslope.ratcalc import G, RatFunc, lift
 from gonalslope.slope import (FibrationInvariants, ZeroChiError,
                               fourgonal_rearranged, harris_stankova_reference,
                               moduli_conversion, slope_fourgonal,
@@ -190,3 +192,54 @@ def test_harris_stankova_reference_at_g_is_the_profile_at_g(n):
     for g in range(1, 501):
         value = harris_stankova_reference(n, g)
         assert type(value) is Fraction and value == profile(g)
+
+
+# -- _parts: one division per output, ints kept integral --------------------------
+
+
+def _parts_oracle(g, n, c1sq, c2, rsq, s, t):
+    """The per-term formula: every input lifted, one quotient per blow-up kind."""
+    g, n, c1sq, c2, rsq, s, t = map(lift, (g, n, c1sq, c2, rsq, s, t))
+    d = g + n - 1
+    chif = (g + n - 2) / (2 * d) * c1sq - c2
+    if s:
+        chif += 3 * g / (2 * d) * s
+    if t:
+        chif += (g + n - 3) / d * t
+    return rsq - 4 * c1sq / d, chif
+
+
+_exact_values = st.integers(-500, 500) | st.fractions(-500, 500, max_denominator=60)
+
+
+@st.composite
+def _parts_inputs(draw):
+    n = draw(st.sampled_from((3, 4)))
+    g = draw(st.integers(1, 300) | st.fractions(1, 300, max_denominator=12))
+    s = draw(st.integers(0, 60)) if n == 4 else 0
+    return g, n, draw(_exact_values), draw(_exact_values), draw(_exact_values), \
+        s, draw(st.integers(0, 60))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_parts_inputs())
+def test_parts_matches_the_per_term_formula(args):
+    got = slope._parts(*args)
+    assert got == _parts_oracle(*args)
+    assert [type(x) for x in got] == [Fraction, Fraction]
+
+
+@pytest.mark.parametrize("args", [(5, 3, 14, 3, 2, 0, 0), (13, 4, 6, 1, 7, 2, 3),
+                                  (40, 4, -9, 0, 0, 0, 5), (7, 3, 0, 0, 0, 0, 1)])
+def test_parts_of_all_int_inputs_are_fractions(args):
+    got = slope._parts(*args)
+    assert got == _parts_oracle(*args)
+    assert [type(x) for x in got] == [Fraction, Fraction]
+
+
+@pytest.mark.parametrize("s,t", [(0, 0), (2, 0), (0, 3), (5, 7)])
+def test_parts_over_q_of_g_matches_the_per_term_formula(s, t):
+    args = (G, 4, Fraction(7, 3), G / 5 + 1, 2 * G - 3, s, t)
+    got = slope._parts(*args)
+    assert got == _parts_oracle(*args)
+    assert all(isinstance(x, RatFunc) for x in got)
