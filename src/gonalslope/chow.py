@@ -9,8 +9,12 @@ are T0.F = 1 and E'_i^2 = E''_j^2 = -1.
 
 A class with all coefficients rational is stored as a tuple of ints
 (t0, f, E'..., E''...) over one positive denominator, jointly coprime, so
-equal classes store alike.  ``+`` and ``-`` take one lcm, every result one
-gcd, and ``intersect`` is one integer dot product and one Fraction.  The
+equal classes store alike.  The constructors write that storage directly:
+``NumClass`` of int and Fraction entries brings them onto their lcm without
+lifting an entry, and ``canonical_class`` and the ``SurfaceModel``
+generators pass their int tuple over denominator 1.  ``+`` and ``-`` take
+one lcm, every result one gcd (dividing only when it is not 1), and
+``intersect`` is one integer dot product and one Fraction.  The
 tuples are built at their final size, ``(*it,)``: ``tuple(it)`` of an
 iterator with no length starts at ten slots and shrinks, which fills the
 interpreter's tuple free lists.  A class with a Q(g) coefficient keeps its
@@ -63,26 +67,30 @@ class SurfaceModel:
 
     # generator classes ----------------------------------------------------
 
+    def _unit(self, k: int) -> NumClass:
+        """The class with coefficient 1 at storage slot k and 0 elsewhere."""
+        c = [0] * (2 + self.s + self.t)
+        c[k] = 1
+        return _new(self, (*c,), 1)
+
     def zero(self) -> NumClass:
-        return NumClass(self, 0, 0, (0,) * self.s, (0,) * self.t)
+        return _new(self, (0,) * (2 + self.s + self.t), 1)
 
     def t0(self) -> NumClass:
-        return NumClass(self, 1, 0, (0,) * self.s, (0,) * self.t)
+        return self._unit(0)
 
     def f(self) -> NumClass:
-        return NumClass(self, 0, 1, (0,) * self.s, (0,) * self.t)
+        return self._unit(1)
 
     def e_prime(self, i: int) -> NumClass:
         if not 0 <= i < self.s:
             raise IndexError(f"E'_{i} out of range for {self}")
-        return NumClass(self, 0, 0, tuple(1 if k == i else 0 for k in range(self.s)),
-                        (0,) * self.t)
+        return self._unit(2 + i)
 
     def e_dprime(self, j: int) -> NumClass:
         if not 0 <= j < self.t:
             raise IndexError(f"E''_{j} out of range for {self}")
-        return NumClass(self, 0, 0, (0,) * self.s,
-                        tuple(1 if k == j else 0 for k in range(self.t)))
+        return self._unit(2 + self.s + j)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -96,12 +104,15 @@ class NumClass:
 
     def __init__(self, model: SurfaceModel, t0, f, ep=(), epp=()):
         ep, epp = tuple(ep), tuple(epp)
-        vals = (*(x if type(x) is int else lift(x) for x in (t0, f, *ep, *epp)),)
+        vals, symbolic = (t0, f, *ep, *epp), False
+        if not {*map(type, vals)} <= {int, Fraction}:
+            vals = (*map(lift, vals),)
+            symbolic = RatFunc in map(type, vals)
         if len(ep) != model.s or len(epp) != model.t:
             raise ModelMismatchError(
                 f"coefficient vectors ({len(ep)}, {len(epp)}) do not fit {model}")
-        if RatFunc in map(type, vals):
-            _new(model, (*map(lift, vals),), None, self)
+        if symbolic:
+            _new(model, vals, None, self)
         else:
             den = lcm(*[x.denominator for x in vals])
             _new(model, (*(x.numerator * (den // x.denominator) for x in vals),), den, self)
@@ -168,8 +179,7 @@ class NumClass:
 
 def _new(model: SurfaceModel, c: tuple, den: int | None, out=None) -> NumClass:
     """A NumClass (out, if given) over entries c, or over numerators c / den, reduced."""
-    if den is not None:
-        g = gcd(den, *c)
+    if den is not None and (g := gcd(den, *c)) != 1:
         c, den = (*map(floordiv, c, repeat(g)),), den // g
     out = object.__new__(NumClass) if out is None else out
     for name, val in (("model", model), ("_c", c), ("_den", den)):
@@ -197,7 +207,7 @@ def self_intersection(a: NumClass) -> Rat | RatFunc:
 
 def canonical_class(m: SurfaceModel) -> NumClass:
     """-2*T0 + (2b-2)*F + sum E'_i + sum E''_j."""
-    return NumClass(m, -2, 2 * m.b - 2, (1,) * m.s, (1,) * m.t)
+    return _new(m, (-2, 2 * m.b - 2, *(1,) * (m.s + m.t)), 1)
 
 
 def chi_structure(m: SurfaceModel) -> int:

@@ -2,11 +2,14 @@
 
 All formulas work uniformly over exact rationals and over RatFunc, so a
 genus can be left symbolic.  K_f^2 and chi_f are written once, in _parts,
-with one division each; an int genus or blow-up count stays an int there,
-so only the Chern data enter as Fractions.  The degree-3 and degree-4
-blow-up parts only supply R^2, and the s = t = 0 entry points delegate to
-the blow-up ones.  The slope is their quotient, with a zero chi_f reported
-as an explicit error.
+with one division each.  At a concrete genus (g, n, s and t ints, the
+Chern data ints or Fractions) _parts and fourgonal_rearranged work on the
+integer numerators over one denominator and build one Fraction per output;
+any RatFunc input, or a Fraction or bool g, takes the lifted route, which
+serves every Q(g) derivation.  A concrete genus must be positive
+(check_genus).  The degree-3 and degree-4 blow-up parts only supply R^2,
+and the s = t = 0 entry points delegate to the blow-up ones.  The slope is
+their quotient, with a zero chi_f reported as an explicit error.
 """
 from __future__ import annotations
 
@@ -17,6 +20,10 @@ from .chern import BundleData
 from .chow import SurfaceModel, canonical_class, intersect
 from .grr import c1_decomposition, check_blowups, chi_total_space
 from .ratcalc import G, Rat, RatFunc, lift
+
+
+#: input types of the integer route: as_integer_ratio() gives (numerator, denominator)
+_EXACT = {int, Fraction}
 
 
 class ZeroChiError(ZeroDivisionError):
@@ -66,13 +73,25 @@ def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
     """(K_f^2, chi_f) of a degree-n cover fibration, s E' and t E'' blown down.
 
     K_f^2 = R^2 - 4c1^2/(g+n-1) and
-    chi_f = ((g+n-2)c1^2 + 3gs + 2(g+n-3)t) / (2(g+n-1)) - c2,
-    one division per output.  Only c1^2, c2 and R^2 are lifted; an int g, n,
-    s or t stays an int, so the blow-up terms cost no Fraction at a concrete
-    genus.  The outputs are Fraction, or RatFunc where an input is one.
+    chi_f = ((g+n-2)c1^2 + 3gs + 2(g+n-3)t) / (2(g+n-1)) - c2.
+    With g, n, s and t ints and c1^2 = a/A, c2 = b/B, R^2 = r/R ints or
+    Fractions, both are built from integers over one denominator, with
+    d = g+n-1: K_f^2 = (rAd - 4aR)/(RAd) and
+    chi_f = (((g+n-2)a + (3gs + 2(g+n-3)t)A)B - 2dAb)/(2dAB).
+    Otherwise every non-int input is lifted and each output takes one
+    division.  The outputs are Fraction, or RatFunc where an input is one.
     """
     if s or t:
         check_blowups(n, s, t)
+    if type(g) is not RatFunc:
+        check_genus(g)
+    if type(g) is type(n) is type(s) is type(t) is int \
+            and {*map(type, (c1sq, c2, rsq))} <= _EXACT:
+        (a, A), (b, B), (r, R) = (x.as_integer_ratio() for x in (c1sq, c2, rsq))
+        d = g + n - 1
+        blowups = (3 * g * s + 2 * (g + n - 3) * t) * A
+        return (Fraction(r * A * d - 4 * a * R, R * A * d),
+                Fraction(((g + n - 2) * a + blowups) * B - 2 * d * A * b, 2 * d * A * B))
     c1sq, c2, rsq = lift(c1sq), lift(c2), lift(rsq)
     g, n, s, t = (x if type(x) is int else lift(x) for x in (g, n, s, t))
     d = g + n - 1
@@ -121,9 +140,20 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
     4 + (c2F - 2c1^2/(g+3)) / ((g+1)/(4(g+3)) c1^2 - c2F/4 + blow-up terms).
     At s = t = 0 this equals the direct quotient exactly; with blow-ups the
     direct quotient is smaller by 4*(blow-up terms)/chi_f, so only the
-    direct route is used for bounds.
+    direct route is used for bounds.  With an int g and c1^2 = a/A,
+    c2F = f/F ints or Fractions, numerator and denominator are scaled by
+    4(g+3)AF into integers; otherwise every input is lifted.
     """
     check_blowups(4, s, t)
+    if type(g) is not RatFunc:
+        check_genus(g)
+    if type(g) is int and {type(c1sq), type(c2f)} <= _EXACT:
+        (a, A), (f, F) = c1sq.as_integer_ratio(), c2f.as_integer_ratio()
+        num = 4 * (g + 3) * A * f - 8 * a * F
+        den = (g + 1) * a * F - (g + 3) * A * f + (6 * g * s + 4 * (g + 1) * t) * A * F
+        if den == 0:
+            raise ZeroChiError("chi_f = 0")
+        return Fraction(4 * den + num, den)
     g, c1sq, c2f, s, t = map(lift, (g, c1sq, c2f, s, t))
     num = c2f - 2 * c1sq / (g + 3)
     den = (g + 1) / (4 * (g + 3)) * c1sq - c2f / 4
@@ -155,7 +185,7 @@ def slope_fourgonal_blowup(g, c1sq, c2e, c2f, s, t) -> FibrationInvariants:
     3g/(2(g+3)) per E' and (g+1)/(g+3) per E''.  At s = t = 0 with c2(E) =
     (c1^2 + c2(F))/4, fourgonal_rearranged must give the same slope."""
     inv = _invariants(*fourgonal_blowup_parts(g, c1sq, c2e, c2f, s, t))
-    if not (s or t) and lift(c2e) == (lift(c1sq) + lift(c2f)) / 4:
+    if not (s or t) and 4 * c2e == c1sq + c2f:
         alt = fourgonal_rearranged(g, c1sq, c2f)
         if alt != inv.slope:
             raise AssertionError("rearranged quadruple-cover slope disagrees "
@@ -179,5 +209,5 @@ def harris_stankova_reference(n: int, g=None):
 
 def check_genus(g) -> None:
     """Raise ValueError unless the fibre genus g is positive."""
-    if lift(g) <= 0:
+    if (g if type(g) is int else lift(g)) <= 0:
         raise ValueError(f"genus must be positive, got {g}")

@@ -165,8 +165,9 @@ def check_fourgonal_rsq_routes():
         m = _model(rng)
         e = chern.BundleData(3, _numclass(rng, m), _rat(rng))
         f = chern.BundleData(2, e.c1, _rat(rng))
-        assert grr.fourgonal_rsq(e, f) == 2 * e.c1sq - 4 * e.c2 + f.c2
-        back = grr.conics_kernel(e, grr.fourgonal_rsq(e, f))
+        rsq = grr.fourgonal_rsq(e, f)
+        assert rsq == 2 * e.c1sq - 4 * e.c2 + f.c2
+        back = grr.conics_kernel(e, rsq)
         assert back.c1 == e.c1 and back.c2 == f.c2, "conics sequence solve round-trip"
 
 

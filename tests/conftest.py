@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,21 @@ def kf2_constant_term(monkeypatch):
             return kf2 + 1, chif
 
         monkeypatch.setattr(bounds, name, shifted)
+
+
+@pytest.fixture
+def fraction_count(monkeypatch) -> list[tuple]:
+    """The argument tuples of every Fraction.__new__ call while the test runs.
+
+    Fractions built in set-up count too, so clear() the list before the
+    code under test runs.
+    """
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return built

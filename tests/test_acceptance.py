@@ -297,6 +297,7 @@ _REPORT = ScenarioSpec(3, 11, "general_odd", t=1)
 _SCALAR_ENTRIES = {
     "slope_general": lambda x: gs.slope_general(10, 3, x, 1, 2),
     "slope_general.n": lambda x: gs.slope_general(10, x, 1, 1, 2),
+    "slope_general.g": lambda x: gs.slope_general(x, 3, 14, 3, 2),
     "slope_general_via_surface.rsq": lambda x: gs.slope_general_via_surface(10, 3, 14, 3, x, 1),
     "slope_trigonal": lambda x: gs.slope_trigonal(5, x, 1),
     "slope_fourgonal": lambda x: gs.slope_fourgonal(11, 20, x, 2),
@@ -305,6 +306,7 @@ _SCALAR_ENTRIES = {
     "trigonal_blowup_parts": lambda x: trigonal_blowup_parts(7, x, 3, 1),
     "fourgonal_blowup_parts": lambda x: fourgonal_blowup_parts(11, x, 3, 2, 1, 2),
     "fourgonal_rearranged": lambda x: gs.fourgonal_rearranged(11, 20, x),
+    "fourgonal_rearranged.g": lambda x: gs.fourgonal_rearranged(x, 20, 2),
     "check_genus": gs.check_genus,
     "NumClass": lambda x: gs.NumClass(gs.SurfaceModel(), x, 1),
     "scalar_times_class": lambda x: x * _F,

@@ -267,23 +267,32 @@ def test_arithmetic_keeps_one_object_per_run():
 
 
 @pytest.mark.parametrize("k", [3, -1, Fraction(-7, 4)], ids=str)
-def test_rational_arithmetic_builds_no_fraction_per_entry(k, monkeypatch):
+def test_rational_arithmetic_builds_no_fraction_per_entry(k, fraction_count):
     rng = random.Random(7)
     m = SurfaceModel(2, 60, 60)
     a, b = rand_class(rng, m), rand_class(rng, m)
-    built = []
-    original = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
+    fraction_count.clear()
     for op in (lambda: a + b, lambda: a - b, lambda: -a, lambda: k * a, lambda: a * k):
         op()
-        assert built == []
+        assert fraction_count == []
     intersect(a, b)
-    assert len(built) == 1
+    assert len(fraction_count) == 1
+
+
+@pytest.mark.parametrize("b,s,t", [(b, s, t) for b in (0, 1, 10) for s in (0, 1, 10)
+                                   for t in (0, 1, 10)])
+def test_direct_constructors_store_as_numclass_does(b, s, t):
+    m = SurfaceModel(b, s, t)
+    zeros = lambda n, k=None: tuple(int(i == k) for i in range(n))
+    pairs = [(canonical_class(m), NumClass(m, -2, 2 * b - 2, (1,) * s, (1,) * t)),
+             (m.zero(), NumClass(m, 0, 0, zeros(s), zeros(t))),
+             (m.t0(), NumClass(m, 1, 0, zeros(s), zeros(t))),
+             (m.f(), NumClass(m, 0, 1, zeros(s), zeros(t)))]
+    pairs += [(m.e_prime(i), NumClass(m, 0, 0, zeros(s, i), zeros(t))) for i in range(s)]
+    pairs += [(m.e_dprime(j), NumClass(m, 0, 0, zeros(s), zeros(t, j))) for j in range(t)]
+    for direct, built in pairs:
+        assert (direct._c, direct._den) == (built._c, built._den)
+        assert direct == built and hash(direct) == hash(built)
 
 
 @given(class_pairs())

@@ -243,3 +243,71 @@ def test_parts_over_q_of_g_matches_the_per_term_formula(s, t):
     got = slope._parts(*args)
     assert got == _parts_oracle(*args)
     assert all(isinstance(x, RatFunc) for x in got)
+
+
+def test_parts_integer_route_builds_one_fraction_per_output(fraction_count):
+    c1sq, c2, rsq = Fraction(37, 5), Fraction(7, 3), Fraction(-11, 6)
+    fraction_count.clear()
+    slope._parts(11, 4, c1sq, c2, rsq, 1, 2)
+    assert len(fraction_count) == 2
+    fraction_count.clear()
+    fourgonal_rearranged(11, c1sq, c2, 1, 2)
+    assert len(fraction_count) <= 2
+
+
+# -- fourgonal_rearranged: integers at a concrete genus ------------------------
+
+
+def _rearranged_oracle(g, c1sq, c2f, s, t):
+    """The per-term formula, every input lifted; None where the denominator vanishes."""
+    g, c1sq, c2f, s, t = map(lift, (g, c1sq, c2f, s, t))
+    num = c2f - 2 * c1sq / (g + 3)
+    den = ((g + 1) / (4 * (g + 3)) * c1sq - c2f / 4
+           + 3 * g / (2 * (g + 3)) * s + (g + 1) / (g + 3) * t)
+    return None if den == 0 else 4 + num / den
+
+
+@st.composite
+def _rearranged_inputs(draw):
+    g = draw(st.integers(1, 300) | st.fractions(1, 300, max_denominator=12))
+    s, t, c1sq = draw(st.integers(0, 60)), draw(st.integers(0, 60)), draw(_exact_values)
+    if draw(st.booleans()):  # c2(F) that makes the denominator vanish
+        c2f = (lift(g + 1) * c1sq + 6 * g * s + 4 * (g + 1) * t) / (g + 3)
+        if c2f.denominator == 1 and draw(st.booleans()):
+            c2f = int(c2f)
+    else:
+        c2f = draw(_exact_values)
+    return g, c1sq, c2f, s, t
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_rearranged_inputs())
+def test_rearranged_matches_the_per_term_formula(args):
+    want = _rearranged_oracle(*args)
+    if want is None:
+        with pytest.raises(ZeroChiError, match="chi_f = 0"):
+            fourgonal_rearranged(*args)
+    else:
+        got = fourgonal_rearranged(*args)
+        assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("s,t", [(0, 0), (2, 0), (0, 3), (5, 7)])
+def test_rearranged_over_q_of_g_matches_the_per_term_formula(s, t):
+    args = (G, Fraction(7, 3), G / 5 + 1, s, t)
+    got = fourgonal_rearranged(*args)
+    assert isinstance(got, RatFunc) and got == _rearranged_oracle(*args)
+
+
+_GENUS_ENTRIES = {
+    "slope_general": lambda g: slope_general(g, 3, 5, 1, 1),
+    "slope_trigonal_blowup": lambda g: slope_trigonal_blowup(g, 14, Fraction(27, 7), 1),
+    "fourgonal_rearranged": lambda g: fourgonal_rearranged(g, 20, 6),
+}
+
+
+@pytest.mark.parametrize("g", [0, -2, -3, Fraction(-3)], ids=repr)
+@pytest.mark.parametrize("entry", _GENUS_ENTRIES.values(), ids=_GENUS_ENTRIES)
+def test_nonpositive_concrete_genus_refused(entry, g):
+    with pytest.raises(ValueError, match="genus must be positive"):
+        entry(g)
