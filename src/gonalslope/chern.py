@@ -1,7 +1,13 @@
-"""Chern data of low-rank bundles: symmetric squares, extensions, characters."""
+"""Chern data of low-rank bundles: symmetric squares, extensions, characters.
+
+``BundleData.c1sq`` is computed once per bundle: a ``cached_property``
+keeps it in the instance ``__dict__``, outside the dataclass fields, so
+equality, hashing and repr do not see it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .chow import NumClass, intersect, self_intersection
 from .ratcalc import Rat, RatFunc, lift
@@ -28,7 +34,7 @@ class BundleData:
         if self.rank == 1 and self.c2 != 0:
             raise ValueError("a line bundle has c2 = 0")
 
-    @property
+    @cached_property
     def c1sq(self) -> Rat | RatFunc:
         return self_intersection(self.c1)
 

@@ -12,9 +12,10 @@ A class with all coefficients rational is stored as a tuple of ints
 equal classes store alike.  The constructors write that storage directly:
 ``NumClass`` of int and Fraction entries brings them onto their lcm without
 lifting an entry, and ``canonical_class`` and the ``SurfaceModel``
-generators pass their int tuple over denominator 1.  ``+`` and ``-`` take
-one lcm, every result one gcd (dividing only when it is not 1), and
-``intersect`` is one integer dot product and one Fraction.  The
+generators pass their int tuple over denominator 1; ``_new`` sets the
+three slots through their descriptors, past the frozen ``__setattr__``.
+``+`` and ``-`` take one lcm, every result one gcd (dividing only when it
+is not 1), and ``intersect`` is one integer dot product and one Fraction.  The
 tuples are built at their final size, ``(*it,)``: ``tuple(it)`` of an
 iterator with no length starts at ten slots and shrinks, which fills the
 interpreter's tuple free lists.  A class with a Q(g) coefficient keeps its
@@ -182,9 +183,14 @@ def _new(model: SurfaceModel, c: tuple, den: int | None, out=None) -> NumClass:
     if den is not None and (g := gcd(den, *c)) != 1:
         c, den = (*map(floordiv, c, repeat(g)),), den // g
     out = object.__new__(NumClass) if out is None else out
-    for name, val in (("model", model), ("_c", c), ("_den", den)):
-        object.__setattr__(out, name, val)
+    _set_model(out, model)
+    _set_c(out, c)
+    _set_den(out, den)
     return out
+
+
+# the slot descriptors write past the frozen dataclass's __setattr__
+_set_model, _set_c, _set_den = NumClass.model.__set__, NumClass._c.__set__, NumClass._den.__set__
 
 
 def intersect(a: NumClass, b: NumClass) -> Rat | RatFunc:

@@ -4,7 +4,10 @@ Scalars are stdlib ``fractions.Fraction`` values (``Rat``) or ``RatFunc``s;
 ``lift`` admits a caller's scalar into every layer and refuses a float or
 Decimal.  ``RatFunc`` is a quotient of polynomials in one formal variable,
 printed as ``g``; it accepts int or Fraction coefficients but stores
-numerator and denominator as tuples of int.  Every instance is held in
+numerator and denominator as tuples of int.  When every coefficient's type
+is ``int`` they are trimmed and canonicalised as given; otherwise (a
+``bool`` included) each is admitted through ``_exact`` and all are brought
+onto their lcm first.  Every instance is held in
 canonical form: numerator and denominator coprime as polynomials, all
 coefficients jointly coprime, leading denominator coefficient positive.
 The common factor is found by a primitive polynomial remainder sequence
@@ -223,10 +226,12 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        n, d = [_exact(c) for c in num], [_exact(c) for c in den]
-        m = lcm(*(c.denominator for c in n + d))
-        n, d = (_trim(tuple(c.numerator * (m // c.denominator) for c in cs))
-                for cs in (n, d))
+        n, d = (*num,), (*den,)
+        if not {*map(type, n + d)} <= {int}:  # a bool, too, goes through _exact
+            n, d = [_exact(c) for c in n], [_exact(c) for c in d]
+            m = lcm(*(c.denominator for c in n + d))
+            n, d = ((*(c.numerator * (m // c.denominator) for c in cs),) for cs in (n, d))
+        n, d = _trim(n), _trim(d)
         if not d:
             raise ZeroDivisionError("denominator is identically zero")
         canon = _canon(n, d)

@@ -115,6 +115,8 @@ def slope_general_via_surface(g: int, n: int, c1sq, c2, rsq, b: int) -> Fibratio
     K_f^2 = K_S^2 - 8(g-1)(b-1) with K_S^2 = n K_Y^2 + 4 c1.K_Y + R^2, and
     chi_f = chi(O_S) - (g-1)(b-1) via the direct-image formula.
     """
+    if type(g) is not RatFunc:
+        check_genus(g)
     model = SurfaceModel(b)
     c1 = c1_decomposition(g, n, c1sq, model)
     e = BundleData(n - 1, c1, c2)

@@ -2,12 +2,16 @@
 
 Each check is a named nullary function that raises AssertionError on
 failure.  Randomness is seeded, so a run is deterministic; all
-comparisons are exact.
+comparisons are exact.  Random classes and rational functions are drawn
+as (numerator, denominator) int pairs, in the order one ``_rat`` call per
+entry draws them, and go straight into integer storage over the pairs'
+lcm: no Fraction is built for them.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import bounds, chern, chow, grr, ratcalc, slope
 from .ratcalc import G, RatFunc
@@ -30,12 +34,18 @@ def _rat(rng: random.Random, lo: int = -30, hi: int = 30, den: int = 12) -> Frac
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
 
+def _pairs(rng: random.Random, k: int, lo: int, hi: int, den: int) -> list:
+    """k (numerator, denominator) pairs, drawn in the order k _rat calls draw them."""
+    return [(rng.randint(lo, hi), rng.randint(1, den)) for _ in range(k)]
+
+
 def _ratfunc(rng: random.Random, deg: int = 3) -> RatFunc:
     while True:
-        num = [_rat(rng, -9, 9, 4) for _ in range(rng.randint(1, deg + 1))]
-        den = [_rat(rng, -9, 9, 4) for _ in range(rng.randint(1, deg + 1))]
-        if any(den):
-            return RatFunc(num, den)
+        num = _pairs(rng, rng.randint(1, deg + 1), -9, 9, 4)
+        den = _pairs(rng, rng.randint(1, deg + 1), -9, 9, 4)
+        if any(n for n, _ in den):
+            m = lcm(*(d for _, d in num + den))
+            return RatFunc([n * (m // d) for n, d in num], [n * (m // d) for n, d in den])
 
 
 def _model(rng: random.Random, max_blow: int = 3) -> chow.SurfaceModel:
@@ -44,9 +54,10 @@ def _model(rng: random.Random, max_blow: int = 3) -> chow.SurfaceModel:
 
 
 def _numclass(rng: random.Random, m: chow.SurfaceModel) -> chow.NumClass:
-    return chow.NumClass(m, _rat(rng), _rat(rng),
-                         tuple(_rat(rng) for _ in range(m.s)),
-                         tuple(_rat(rng) for _ in range(m.t)))
+    """Entries t0, f, E'..., E''... drawn as _rat(rng) draws them, stored as ints over their lcm."""
+    pairs = _pairs(rng, 2 + m.s + m.t, -30, 30, 12)
+    den = lcm(*(d for _, d in pairs))
+    return chow._new(m, (*(n * (den // d) for n, d in pairs),), den)
 
 
 # -- ratcalc ---------------------------------------------------------------

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from gonalslope import chern
 from gonalslope.chern import (BundleData, ChernCharacter, UnsupportedRankError,
                               chern_character, sym2, sym2_roots_oracle, whitney,
                               whitney_quotient)
-from gonalslope.chow import NumClass, SurfaceModel, intersect
+from gonalslope.chow import NumClass, SurfaceModel, intersect, self_intersection
+from gonalslope.ratcalc import G
 
 
 def rand_class(rng: random.Random, m: SurfaceModel) -> NumClass:
@@ -26,6 +28,43 @@ def test_bundle_validation():
         BundleData(1, m.t0(), 3)
     line = BundleData(1, NumClass(m, 2, 5), 0)
     assert line.c1sq == 20
+
+
+@pytest.fixture
+def self_intersection_calls(monkeypatch) -> list:
+    """The classes chern passes to self_intersection while the test runs."""
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return self_intersection(a)
+
+    monkeypatch.setattr(chern, "self_intersection", counting)
+    return calls
+
+
+def test_c1sq_computed_once_per_bundle(self_intersection_calls):
+    m = SurfaceModel(1, 2, 1)
+    e = BundleData(2, NumClass(m, 3, Fraction(1, 2), (1, -2), (5,)), 4)
+    assert e.c1sq == e.c1sq == intersect(e.c1, e.c1) == -27
+    assert self_intersection_calls == [e.c1]
+
+
+def test_c1sq_cache_leaves_equality_hash_and_repr():
+    m = SurfaceModel(0, 1, 2)
+    c1 = NumClass(m, Fraction(-3, 2), 7, (2,), (1, Fraction(1, 3)))
+    read, fresh = BundleData(3, c1, Fraction(5, 4)), BundleData(3, c1, Fraction(5, 4))
+    read.c1sq
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert {read, fresh} == {fresh}
+
+
+def test_c1sq_of_a_symbolic_class(self_intersection_calls):
+    m = SurfaceModel(0, 1, 1)
+    c1 = NumClass(m, G, 2, (G + 1,), (Fraction(1, 3),))
+    e = BundleData(2, c1, G - 1)
+    assert e.c1sq == self_intersection(c1) == 4 * G - (G + 1) ** 2 - Fraction(1, 9)
+    assert e.c1sq is e.c1sq and len(self_intersection_calls) == 1
 
 
 @pytest.mark.parametrize("rank", [2.0, True, False, Fraction(2), "2"], ids=repr)

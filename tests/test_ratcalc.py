@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gonalslope import ratcalc
@@ -120,18 +120,39 @@ def test_zero_and_constants():
 
 
 @pytest.mark.parametrize("build", [lambda: RatFunc((0.5, 1)), lambda: RatFunc((1,), ("2",)),
-                                   lambda: RatFunc.const(0.25), lambda: G(0.1)],
-                         ids=["num", "den", "const", "call"])
+                                   lambda: RatFunc.const(0.25), lambda: G(0.1),
+                                   lambda: RatFunc((1, 2), (3, Decimal(1)))],
+                         ids=["num", "den", "const", "call", "den_among_ints"])
 def test_inexact_values_refused(build):
     with pytest.raises(TypeError):
         build()
 
 
 def test_identically_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        RatFunc((1,), (0,))
+    for num, den in [((1,), (0,)), ((1,), (0, 0)), ((), ()), ((1, 2), []), ((1,), (False,))]:
+        with pytest.raises(ZeroDivisionError, match="denominator is identically zero"):
+            RatFunc(num, den)
     with pytest.raises(ZeroDivisionError):
         G / (G - G)
+
+
+_int_coeffs = st.lists(st.one_of(st.integers(-60, 60), st.booleans()), max_size=6)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_int_coeffs, _int_coeffs.filter(any), st.integers(0, 3))
+@example([0, 0], [3, -6], 0)
+@example([], [0, 4], 2)
+@example([2, 0, 4], [6, 0, 0], 0)
+@example([True, False, 2], [True, True], 1)
+def test_int_coefficients_canonicalise_as_their_fractions(num, den, zeros):
+    # all ints take the int route; a bool among them takes the _exact route, as before
+    num, den = num + [0] * zeros, den + [0] * zeros
+    got = RatFunc(num, den)
+    want = RatFunc([Fraction(int(c)) for c in num], [Fraction(int(c)) for c in den])
+    assert (got.num, got.den) == (want.num, want.den)
+    assert type(got.num) is type(got.den) is tuple
+    assert {*map(type, got.num + got.den)} == {int}
 
 
 def test_field_ops_match_pointwise_evaluation():

@@ -301,6 +301,7 @@ def test_rearranged_over_q_of_g_matches_the_per_term_formula(s, t):
 
 _GENUS_ENTRIES = {
     "slope_general": lambda g: slope_general(g, 3, 5, 1, 1),
+    "slope_general_via_surface": lambda g: slope_general_via_surface(g, 3, 14, 3, 2, 1),
     "slope_trigonal_blowup": lambda g: slope_trigonal_blowup(g, 14, Fraction(27, 7), 1),
     "fourgonal_rearranged": lambda g: fourgonal_rearranged(g, 20, 6),
 }
