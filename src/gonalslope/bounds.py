@@ -12,9 +12,9 @@ derivation, so their difference is an honest discrepancy report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .chow import Record
 from .grr import GENUS_FLOOR, ScenarioError, blowup_correction, check_blowups
 from .ratcalc import G, Rat, RatFunc, lift
 from .slope import (check_genus, fourgonal_blowup_parts, slope_fourgonal,
@@ -46,16 +46,13 @@ _STATED = {
 }
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Record):
     """Splitting degrees 0 < alpha <= beta; the order is checked at a concrete genus only."""
 
-    alpha: Rat
-    beta: Rat
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", lift(self.alpha))
-        object.__setattr__(self, "beta", lift(self.beta))
+    def __init__(self, alpha: Rat, beta: Rat):
+        self._fill(lift(alpha), lift(beta))
         symbolic = isinstance(self.alpha, RatFunc) or isinstance(self.beta, RatFunc)
         if not symbolic and not 0 < self.alpha <= self.beta:
             raise ValueError(f"need 0 < alpha <= beta, got ({self.alpha}, {self.beta})")
@@ -85,34 +82,30 @@ def c2e_bound_fourgonal(c1sq, c2f):
     return (lift(c1sq) + lift(c2f)) / 4
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """Cover degree, fibre genus, case tag, blow-up counts (s, t); form checked when made."""
 
-    n: int
-    g: int
-    case: str
-    gamma: int | None = None
-    s: int = 0
-    t: int = 0
+    __slots__ = ("n", "g", "case", "gamma", "s", "t")
 
-    def __post_init__(self):
-        if not (type(self.n) is type(self.g) is int and type(self.gamma) in (int, type(None))):
-            raise ScenarioError(f"n, g and gamma must be integers, got n={self.n!r}, "
-                                f"g={self.g!r}, gamma={self.gamma!r}")
-        check_blowups(self.n, self.s, self.t)
-        if self.case not in CASES:
-            raise ScenarioError(f"unknown case {self.case!r}; choose from {CASES}")
-        if self.n not in _MARONI[self.case]:
-            degrees = " and ".join(map(str, _MARONI[self.case]))
-            raise ScenarioError(f"case {self.case!r} applies to degree {degrees} only")
-        if self.case == "factorizing":
-            if self.gamma is None:
+    def __init__(self, n: int, g: int, case: str, gamma: int | None = None,
+                 s: int = 0, t: int = 0):
+        self._fill(n, g, case, gamma, s, t)
+        if not (type(n) is type(g) is int and type(gamma) in (int, type(None))):
+            raise ScenarioError(f"n, g and gamma must be integers, got n={n!r}, "
+                                f"g={g!r}, gamma={gamma!r}")
+        check_blowups(n, s, t)
+        if case not in CASES:
+            raise ScenarioError(f"unknown case {case!r}; choose from {CASES}")
+        if n not in _MARONI[case]:
+            degrees = " and ".join(map(str, _MARONI[case]))
+            raise ScenarioError(f"case {case!r} applies to degree {degrees} only")
+        if case == "factorizing":
+            if gamma is None:
                 raise ScenarioError("factorizing needs gamma")
-            if self.gamma < 1:
-                raise ScenarioError(f"gamma must be >= 1, got {self.gamma}")
-        elif self.gamma is not None:
-            raise ScenarioError(f"gamma is only meaningful for factorizing, got {self.case!r}")
+            if gamma < 1:
+                raise ScenarioError(f"gamma must be >= 1, got {gamma}")
+        elif gamma is not None:
+            raise ScenarioError(f"gamma is only meaningful for factorizing, got {case!r}")
 
     def validate(self, enforce_genus: bool = True) -> None:
         """Raise ScenarioError unless g suits the spec; enforce_genus=False skips the floor."""
@@ -214,15 +207,13 @@ def _c2_chain(spec: ScenarioSpec):
     return q, corr, strict, tuple(lines), target
 
 
-@dataclass(frozen=True)
-class C2Bound:
+class C2Bound(Record):
     """A concrete c2 lower bound value q*(c1^2 + correction) at one input."""
 
-    target: str
-    value: Rat
-    coefficient: Rat
-    correction: Rat
-    strict: bool
+    __slots__ = ("target", "value", "coefficient", "correction", "strict")
+
+    def __init__(self, target: str, value: Rat, coefficient: Rat, correction: Rat, strict: bool):
+        self._fill(target, value, coefficient, correction, strict)
 
 
 def c2_bounds_blowup(spec: ScenarioSpec, c1sq) -> C2Bound:
@@ -233,20 +224,19 @@ def c2_bounds_blowup(spec: ScenarioSpec, c1sq) -> C2Bound:
     return C2Bound(target, coeff * (lift(c1sq) + corr), coeff, corr, strict)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(Record):
     """Derived slope lower bound for a scenario, next to its stated closed form."""
 
-    scenario: ScenarioSpec
-    c2_coefficient: Rat
-    correction: Rat
-    strict: bool
-    derived_bound: RatFunc
-    stated_bound: RatFunc | None
-    discrepancy: RatFunc | None
-    chain: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-    samples: tuple[tuple[int, Rat, Rat | None], ...] = ()
+    __slots__ = ("scenario", "c2_coefficient", "correction", "strict", "derived_bound",
+                 "stated_bound", "discrepancy", "chain", "notes", "samples")
+
+    def __init__(self, scenario: ScenarioSpec, c2_coefficient: Rat, correction: Rat,
+                 strict: bool, derived_bound: RatFunc, stated_bound: RatFunc | None,
+                 discrepancy: RatFunc | None, chain: tuple[str, ...] = (),
+                 notes: tuple[str, ...] = (),
+                 samples: tuple[tuple[int, Rat, Rat | None], ...] = ()):
+        self._fill(scenario, c2_coefficient, correction, strict, derived_bound, stated_bound,
+                   discrepancy, chain, notes, samples)
 
 
 def stated_closed_form(spec: ScenarioSpec) -> RatFunc:
@@ -308,34 +298,37 @@ def compare(spec: ScenarioSpec, allow_out_of_range: bool = False) -> BoundResult
     """derived_slope_bound plus both bounds at the sample genera g, g+2, g+20, g+200."""
     res = derived_slope_bound(spec, allow_out_of_range)
     genera = [spec.g + off for off in (0, 2, 20, 200)]
-    return replace(res, samples=tuple((g, res.derived_bound(g), res.stated_bound(g))
-                                      for g in genera))
+    return res.replace(samples=tuple((g, res.derived_bound(g), res.stated_bound(g))
+                                     for g in genera))
 
 
 # -- blow-up reports: c1^2 no longer cancels, so sweep it over a grid --------
 
 
-@dataclass(frozen=True)
-class BlowupRow:
-    c1sq: Rat
-    c2_bound: Rat
-    kf2: Rat
-    chif: Rat
-    slope: Rat | None
-    verdict: str  # below / equal / above / inadmissible
+class BlowupRow(Record):
+    __slots__ = ("c1sq", "c2_bound", "kf2", "chif", "slope", "verdict")
+
+    def __init__(self, c1sq: Rat, c2_bound: Rat, kf2: Rat, chif: Rat, slope: Rat | None,
+                 verdict: str):  # below / equal / above / inadmissible
+        set_key, set_c1sq, set_c2_bound, set_kf2, set_chif, set_slope, set_verdict = self._setters
+        set_key(self, (c1sq, c2_bound, kf2, chif, slope, verdict))
+        set_c1sq(self, c1sq)
+        set_c2_bound(self, c2_bound)
+        set_kf2(self, kf2)
+        set_chif(self, chif)
+        set_slope(self, slope)
+        set_verdict(self, verdict)
 
 
-@dataclass(frozen=True)
-class BlowupReport:
-    scenario: ScenarioSpec
-    rows: tuple[BlowupRow, ...]
-    baseline: RatFunc
-    baseline_at_g: Rat
-    minimum: Rat
-    limit: Rat
-    admissible_from: Rat | None
-    strict: bool
-    chain: tuple[str, ...] = ()
+class BlowupReport(Record):
+    __slots__ = ("scenario", "rows", "baseline", "baseline_at_g", "minimum", "limit",
+                 "admissible_from", "strict", "chain")
+
+    def __init__(self, scenario: ScenarioSpec, rows: tuple[BlowupRow, ...], baseline: RatFunc,
+                 baseline_at_g: Rat, minimum: Rat, limit: Rat, admissible_from: Rat | None,
+                 strict: bool, chain: tuple[str, ...] = ()):
+        self._fill(scenario, rows, baseline, baseline_at_g, minimum, limit, admissible_from,
+                   strict, chain)
 
 
 def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
@@ -353,7 +346,7 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     cross-multiplication against the baseline at g.  The grid is sorted and
     deduplicated as integers over its common denominator.
     """
-    base_spec = replace(spec, s=0, t=0)
+    base_spec = spec.replace(s=0, t=0)
     base_spec.validate(enforce_genus=not allow_out_of_range)  # genus rules read neither s nor t
     q, corr, strict, chain, _ = _c2_chain(spec)
     baseline = _derived(base_spec, q, 0)

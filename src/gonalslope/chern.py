@@ -1,15 +1,12 @@
 """Chern data of low-rank bundles: symmetric squares, extensions, characters.
 
-``BundleData.c1sq`` is computed once per bundle: a ``cached_property``
-keeps it in the instance ``__dict__``, outside the dataclass fields, so
-equality, hashing and repr do not see it.
+``BundleData.c1sq`` is computed once per bundle, on its first read, into
+the slot ``_c1sq``, which holds None until then.  The slot comes after the
+fields and is no field itself: equality, hashing and repr do not see it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
-from .chow import NumClass, intersect, self_intersection
+from .chow import NumClass, Record, intersect, self_intersection
 from .ratcalc import Rat, RatFunc, lift
 
 
@@ -17,26 +14,31 @@ class UnsupportedRankError(ValueError):
     """Operation not implemented for this rank."""
 
 
-@dataclass(frozen=True)
-class BundleData:
+class BundleData(Record):
     """(rank, c1, c2) of a vector bundle on the surface carrying c1."""
 
-    rank: int
-    c1: NumClass
-    c2: Rat | RatFunc
+    __slots__ = ("rank", "c1", "c2", "_c1sq")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c2", lift(self.c2))
-        if type(self.rank) is not int:
-            raise TypeError(f"rank must be an int, not {self.rank!r}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        if self.rank == 1 and self.c2 != 0:
+    def __init__(self, rank: int, c1: NumClass, c2: Rat | RatFunc):
+        c2 = lift(c2)
+        set_key, set_rank, set_c1, set_c2, set_c1sq = self._setters
+        set_key(self, (rank, c1, c2))
+        set_rank(self, rank)
+        set_c1(self, c1)
+        set_c2(self, c2)
+        set_c1sq(self, None)
+        if type(rank) is not int:
+            raise TypeError(f"rank must be an int, not {rank!r}")
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        if rank == 1 and c2 != 0:
             raise ValueError("a line bundle has c2 = 0")
 
-    @cached_property
+    @property
     def c1sq(self) -> Rat | RatFunc:
-        return self_intersection(self.c1)
+        if (sq := self._c1sq) is None:
+            BundleData._c1sq.__set__(self, sq := self_intersection(self.c1))
+        return sq
 
 
 def sym2(e: BundleData) -> BundleData:
@@ -76,13 +78,13 @@ def whitney_quotient(total: BundleData, sub: BundleData) -> BundleData:
     return BundleData(total.rank - sub.rank, c1, c2)
 
 
-@dataclass(frozen=True)
-class ChernCharacter:
+class ChernCharacter(Record):
     """Chern character truncated in degree two: (rank, c1, (c1^2 - 2 c2)/2)."""
 
-    rank: Rat
-    d1: NumClass
-    d2: Rat | RatFunc
+    __slots__ = ("rank", "d1", "d2")
+
+    def __init__(self, rank: Rat, d1: NumClass, d2: Rat | RatFunc):
+        self._fill(rank, d1, d2)
 
     def __add__(self, other: ChernCharacter) -> ChernCharacter:
         return ChernCharacter(self.rank + other.rank, self.d1 + other.d1,

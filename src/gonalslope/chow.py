@@ -24,7 +24,6 @@ and the pairing multiplies once per run of equal entry pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, repeat
 from math import gcd, lcm
@@ -50,20 +49,61 @@ class ModelMismatchError(ValueError):
     """Two classes from different surface models were combined."""
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class Record:
+    """A frozen value whose fields are the leading names of __slots__.  Slot _key
+    holds their tuple: == within one class and hash are one tuple operation.
+    __init__ writes through _setters, the slots' __set__, past __setattr__, and
+    replace builds a new value through __init__, which checks it again.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, name).__set__ for name in ("_key", *cls.__slots__))
+
+    def _fill(self, *values):
+        for set_slot, value in zip(self._setters, (values, *values)):
+            set_slot(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle: the default would assign the slots
+        return type(self), self._key
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._key), **changes))
+
+
+class SurfaceModel(Record):
     """Ruled surface over a genus-b curve with s + t marked blow-ups."""
 
-    b: int = 0
-    s: int = 0
-    t: int = 0
+    __slots__ = ("b", "s", "t")
 
-    def __post_init__(self):
-        if not all(type(x) is int for x in (self.b, self.s, self.t)):
+    def __init__(self, b: int = 0, s: int = 0, t: int = 0):
+        set_key, set_b, set_s, set_t = self._setters
+        set_key(self, (b, s, t))
+        set_b(self, b)
+        set_s(self, s)
+        set_t(self, t)
+        if not type(b) is type(s) is type(t) is int:
             raise TypeError(f"model data must be ints: {self}")
-        if self.b < 0 or self.s < 0 or self.t < 0:
+        if b < 0 or s < 0 or t < 0:
             raise ValueError(f"negative model data: {self}")
-        if self.s > _MAX_BLOWUPS or self.t > _MAX_BLOWUPS:
+        if s > _MAX_BLOWUPS or t > _MAX_BLOWUPS:
             raise ValueError(f"blow-up count beyond supported size: {self}")
 
     # generator classes ----------------------------------------------------
@@ -94,14 +134,12 @@ class SurfaceModel:
         return self._unit(2 + self.s + j)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class NumClass:
     """a.t0*T0 + a.f*F + sum a.ep[i]*E'_i + sum a.epp[j]*E''_j, coefficients in Q or Q(g)."""
 
+    # _c: numerators over the int _den, or the Fraction and RatFunc entries if _den is None
     __slots__ = ("model", "_c", "_den")
-    model: SurfaceModel
-    _c: tuple  # numerators over _den, or the Fraction and RatFunc entries if _den is None
-    _den: int | None
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
 
     def __init__(self, model: SurfaceModel, t0, f, ep=(), epp=()):
         ep, epp = tuple(ep), tuple(epp)
@@ -169,6 +207,9 @@ class NumClass:
     def __hash__(self):
         return hash((self.model, self._entries()))
 
+    def __repr__(self) -> str:
+        return f"NumClass(model={self.model!r}, _c={self._c!r}, _den={self._den!r})"
+
     def __str__(self) -> str:
         terms = [(self.t0, "T0"), (self.f, "F")]
         # != 0, not truth: a RatFunc has no __bool__, so a zero one is truthy
@@ -189,7 +230,7 @@ def _new(model: SurfaceModel, c: tuple, den: int | None, out=None) -> NumClass:
     return out
 
 
-# the slot descriptors write past the frozen dataclass's __setattr__
+# the slot descriptors write past the refusing __setattr__
 _set_model, _set_c, _set_den = NumClass.model.__set__, NumClass._c.__set__, NumClass._den.__set__
 
 

@@ -7,22 +7,21 @@ rows in sorted order.
 
 Exit codes: 0 success, 1 input error, 2 verification failure, 3 degenerate
 denominator (chi_f = 0), 4 internal check failed (a bug, not bad input).
+
+Start-up is most of a single call's cost, so the verify suite, csv and json
+are imported by the code that uses them, not when this module loads.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import os
 import re
 import sys
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import __version__
-from . import verify as verify_suite
 from .bounds import (CASES, ScenarioError, ScenarioSpec, blowup_bound_report,
                      compare, derived_slope_bound)
 from .grr import GENUS_FLOOR, check_blowups
@@ -41,6 +40,14 @@ DEFAULT_GRID = tuple(Fraction(x) for x in (1, 2, 4, 14, 100, 1000))
 
 #: widest genus range `sweep` accepts; its rows are all built before printing
 MAX_SWEEP_GENERA = 100_000
+
+
+def __getattr__(name: str):
+    """``verify_suite``: the verify module, imported on first use (PEP 562)."""
+    if name == "verify_suite":
+        from . import verify
+        return verify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: a value quoted in an error message, if longer than 80 characters; it is
@@ -247,12 +254,16 @@ def _print_table(columns: list[str], rows: list[list[str]]) -> None:
 
 
 def _print_csv(columns: list[str], rows: list[list[str]]) -> None:
+    import csv
+
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(columns)
     out.writerows(rows)
 
 
 def _print_jsonl(records) -> None:
+    import json
+
     for rec in records:
         print(json.dumps(rec, sort_keys=True, default=str))
 
@@ -382,7 +393,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # the bound is one function of g per case: derive it once, evaluate per row;
     # so is strictness, as beta - alpha is 0, 1 or g - 4*gamma - 1 > 0 here
-    res = derived_slope_bound(replace(spec, g=genera[0]), allow_out_of_range=True)
+    res = derived_slope_bound(spec.replace(g=genera[0]), allow_out_of_range=True)
     rows = [[g, res.derived_bound(g), res.stated_bound(g), res.discrepancy(g),
              harris_stankova_reference(n, g), res.strict,
              "" if g >= GENUS_FLOOR[n] else "out-of-range"] for g in genera]
@@ -421,6 +432,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify as verify_suite
+
     failures = verify_suite.run()
     if failures:
         print(f"verification failed: {failures[0]}", file=sys.stderr)

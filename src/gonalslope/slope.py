@@ -13,11 +13,10 @@ their quotient, with a zero chi_f reported as an explicit error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import BundleData
-from .chow import SurfaceModel, canonical_class, intersect
+from .chow import Record, SurfaceModel, canonical_class, intersect
 from .grr import c1_decomposition, check_blowups, chi_total_space
 from .ratcalc import G, Rat, RatFunc, lift
 
@@ -36,13 +35,17 @@ def _ratio(kf2, chif):
     return kf2 / chif
 
 
-@dataclass(frozen=True)
-class FibrationInvariants:
+class FibrationInvariants(Record):
     """K_f^2, chi_f and their quotient; entries are Rat or RatFunc."""
 
-    kf2: Rat | RatFunc
-    chif: Rat | RatFunc
-    slope: Rat | RatFunc
+    __slots__ = ("kf2", "chif", "slope")
+
+    def __init__(self, kf2: Rat | RatFunc, chif: Rat | RatFunc, slope: Rat | RatFunc):
+        set_key, set_kf2, set_chif, set_slope = self._setters
+        set_key(self, (kf2, chif, slope))
+        set_kf2(self, kf2)
+        set_chif(self, chif)
+        set_slope(self, slope)
 
     def warning(self) -> str | None:
         """Flag a numeric slope outside the admissible interval (0, 12], else a negative chi_f."""
@@ -55,13 +58,13 @@ class FibrationInvariants:
         return None
 
 
-@dataclass(frozen=True)
-class ModuliData:
+class ModuliData(Record):
     """Divisor-class coordinates: s_B = 12 - slope, delta.B, lambda.B = chi_f."""
 
-    s_b: Rat | RatFunc
-    delta_b: Rat | RatFunc
-    lambda_b: Rat | RatFunc
+    __slots__ = ("s_b", "delta_b", "lambda_b")
+
+    def __init__(self, s_b: Rat | RatFunc, delta_b: Rat | RatFunc, lambda_b: Rat | RatFunc):
+        self._fill(s_b, delta_b, lambda_b)
 
 
 def moduli_conversion(inv: FibrationInvariants) -> ModuliData:

@@ -77,7 +77,7 @@ def check_ratfunc_eval_compose():
     done = 0
     while done < 1000:
         f, h = _ratfunc(rng), _ratfunc(rng)
-        x = Fraction(rng.randint(-50, 50))
+        x = rng.randint(-50, 50)  # __call__ takes an int as it is
         try:
             expect = f(h(x))
             got = f.compose(h)(x)

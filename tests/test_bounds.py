@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -134,14 +133,14 @@ def test_integer_parity_matches_splitting_oracle(case):
         for g in range(1, 301):
             expected = _splitting_genus_problem(spec, g, enforce_floor)
             assert spec.genus_problem(enforce_floor, g=g) == expected
-            assert replace(spec, g=g).genus_problem(enforce_floor) == expected
+            assert spec.replace(g=g).genus_problem(enforce_floor) == expected
 
 
 def test_scenario_form_checked_at_construction():
     with pytest.raises(ScenarioError, match="unknown case"):
         ScenarioSpec(3, 11, "mystery")
     with pytest.raises(ScenarioError, match="only meaningful"):
-        replace(ScenarioSpec(4, 11, "general_odd"), gamma=1)
+        ScenarioSpec(4, 11, "general_odd").replace(gamma=1)
 
 
 #: library entries that take a scenario, each reached with g = 0
@@ -214,7 +213,7 @@ def test_impossible_splitting_refused_by_every_entry(spec, message):
                lambda: c2_bounds_blowup(spec, 14),
                lambda: stated_closed_form(spec),
                lambda: derived_slope_bound(spec, allow_out_of_range=True),
-               lambda: blowup_bound_report(replace(spec, t=1), [14], allow_out_of_range=True)]
+               lambda: blowup_bound_report(spec.replace(t=1), [14], allow_out_of_range=True)]
     for entry in entries:
         with pytest.raises(ScenarioError, match=pattern):
             entry()
@@ -465,7 +464,7 @@ def _blowup_scenarios():
 @pytest.mark.parametrize("spec,grid", list(_blowup_scenarios()), ids=lambda x: str(x)[:60])
 def test_blowup_report_matches_per_point_route(spec, grid):
     assert spec.genus_problem(enforce_floor=False) is None
-    baseline = derived_slope_bound(replace(spec, s=0, t=0), True).derived_bound(spec.g)
+    baseline = derived_slope_bound(spec.replace(s=0, t=0), True).derived_bound(spec.g)
     rows = []
     for c1sq in sorted(set(grid)):
         c2, (kf2, chif) = _per_point_parts(spec, c1sq)
@@ -514,7 +513,7 @@ def test_blowup_report_rows_match_the_per_row_fraction_formula(spec, grid):
     """Integer rows against K_f^2, chi_f and the c2 bound evaluated in Fractions per row."""
     c2_0, (kf2_0, chif_0) = _per_point_parts(spec, Fraction(0))
     c2_1, (kf2_1, chif_1) = _per_point_parts(spec, Fraction(1))
-    baseline = derived_slope_bound(replace(spec, s=0, t=0), True).derived_bound(spec.g)
+    baseline = derived_slope_bound(spec.replace(s=0, t=0), True).derived_bound(spec.g)
     rep = blowup_bound_report(spec, grid, allow_out_of_range=True)
     assert [r.c1sq for r in rep.rows] == sorted(set(grid))
     verdicts = set()
