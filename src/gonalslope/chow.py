@@ -10,10 +10,10 @@ are T0.F = 1 and E'_i^2 = E''_j^2 = -1.
 A class with all coefficients rational is stored as a tuple of ints
 (t0, f, E'..., E''...) over one positive denominator, jointly coprime, so
 equal classes store alike.  The constructors write that storage directly:
-``NumClass`` of int and Fraction entries brings them onto their lcm without
-lifting an entry, and ``canonical_class`` and the ``SurfaceModel``
-generators pass their int tuple over denominator 1; ``_new`` sets the
-three slots through their descriptors, past the frozen ``__setattr__``.
+``NumClass`` of int and Fraction entries brings them onto their lcm
+(``ratcalc.over_lcm``) without lifting an entry, ``canonical_class`` and
+the ``SurfaceModel`` generators pass their int tuple over denominator 1,
+and ``_new`` sets the three slots past the frozen ``__setattr__``.
 ``+`` and ``-`` take one lcm, every result one gcd (dividing only when it
 is not 1), and ``intersect`` is one integer dot product and one Fraction.  The
 tuples are built at their final size, ``(*it,)``: ``tuple(it)`` of an
@@ -29,7 +29,7 @@ from itertools import groupby, repeat
 from math import gcd, lcm
 from operator import add, floordiv, mul, sub
 
-from .ratcalc import Rat, RatFunc, lift
+from .ratcalc import Rat, RatFunc, lift, over_lcm
 
 _MAX_BLOWUPS = 10_000
 _NOTHING = object()
@@ -153,8 +153,7 @@ class NumClass:
         if symbolic:
             _new(model, vals, None, self)
         else:
-            den = lcm(*[x.denominator for x in vals])
-            _new(model, (*(x.numerator * (den // x.denominator) for x in vals),), den, self)
+            _new(model, *over_lcm(x.as_integer_ratio() for x in vals), self)
 
     def _entries(self) -> tuple:
         """(t0, f, *ep, *epp) as Fraction or RatFunc objects, one object per value."""
@@ -206,6 +205,9 @@ class NumClass:
 
     def __hash__(self):
         return hash((self.model, self._entries()))
+
+    def __reduce__(self):  # copy and pickle: the default would assign the slots
+        return _new, (self.model, self._c, self._den)
 
     def __repr__(self) -> str:
         return f"NumClass(model={self.model!r}, _c={self._c!r}, _den={self._den!r})"

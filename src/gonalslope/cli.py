@@ -42,14 +42,6 @@ DEFAULT_GRID = tuple(Fraction(x) for x in (1, 2, 4, 14, 100, 1000))
 MAX_SWEEP_GENERA = 100_000
 
 
-def __getattr__(name: str):
-    """``verify_suite``: the verify module, imported on first use (PEP 562)."""
-    if name == "verify_suite":
-        from . import verify
-        return verify
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 #: a value quoted in an error message, if longer than 80 characters; it is
 #: echoed as its first 40 characters and its length
 _LONG_QUOTED = re.compile(r"'([^']{81,})'|\"([^\"]{81,})\"")
@@ -432,13 +424,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import verify as verify_suite
+    from . import verify
 
-    failures = verify_suite.run()
+    failures = verify.run()
     if failures:
         print(f"verification failed: {failures[0]}", file=sys.stderr)
         return EXIT_VERIFY
-    print(f"all {len(verify_suite.CHECKS)} checks passed")
+    print(f"all {len(verify.CHECKS)} checks passed")
     return EXIT_OK
 
 

@@ -7,9 +7,10 @@ printed as ``g``; it accepts int or Fraction coefficients but stores
 numerator and denominator as tuples of int.  When every coefficient's type
 is ``int`` they are trimmed and canonicalised as given; otherwise (a
 ``bool`` included) each is admitted through ``_exact`` and all are brought
-onto their lcm first.  Every instance is held in
-canonical form: numerator and denominator coprime as polynomials, all
-coefficients jointly coprime, leading denominator coefficient positive.
+onto their lcm by ``over_lcm``, which every layer uses for that.  Every
+instance is held in canonical form: numerator and denominator coprime as
+polynomials, all coefficients jointly coprime, leading denominator
+coefficient positive.
 The common factor is found by a primitive polynomial remainder sequence
 over Z, so no arithmetic leaves the integers.  It runs only between two
 nonconstant operands.  If a/b is canonical and p/q is a nonzero constant,
@@ -48,6 +49,13 @@ def _exact(x) -> Fraction:
 def lift(x):
     """A caller's scalar: Fraction or RatFunc as is, int as Fraction, else TypeError."""
     return x if isinstance(x, (Fraction, RatFunc)) else _exact(x)
+
+
+def over_lcm(pairs) -> tuple[tuple[int, ...], int]:
+    """Int (numerator, denominator) pairs as numerators over the denominators' lcm, and the lcm."""
+    pairs = [*pairs]
+    m = lcm(*(d for _, d in pairs))
+    return (*(n * (m // d) for n, d in pairs),), m
 
 
 def parse_rat(text: str) -> Rat:
@@ -228,9 +236,8 @@ class RatFunc:
     def __init__(self, num, den=(1,)):
         n, d = (*num,), (*den,)
         if not {*map(type, n + d)} <= {int}:  # a bool, too, goes through _exact
-            n, d = [_exact(c) for c in n], [_exact(c) for c in d]
-            m = lcm(*(c.denominator for c in n + d))
-            n, d = ((*(c.numerator * (m // c.denominator) for c in cs),) for cs in (n, d))
+            cs, _ = over_lcm(_exact(c).as_integer_ratio() for c in n + d)
+            n, d = cs[:len(n)], cs[len(n):]
         n, d = _trim(n), _trim(d)
         if not d:
             raise ZeroDivisionError("denominator is identically zero")

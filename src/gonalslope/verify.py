@@ -4,17 +4,16 @@ Each check is a named nullary function that raises AssertionError on
 failure.  Randomness is seeded, so a run is deterministic; all
 comparisons are exact.  Random classes and rational functions are drawn
 as (numerator, denominator) int pairs, in the order one ``_rat`` call per
-entry draws them, and go straight into integer storage over the pairs'
-lcm: no Fraction is built for them.
+entry draws them, and go straight into integer storage through
+``ratcalc.over_lcm``: no Fraction is built for them.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 
 from . import bounds, chern, chow, grr, ratcalc, slope
-from .ratcalc import G, RatFunc
+from .ratcalc import G, RatFunc, over_lcm
 
 _SEED = 20240
 
@@ -44,8 +43,8 @@ def _ratfunc(rng: random.Random, deg: int = 3) -> RatFunc:
         num = _pairs(rng, rng.randint(1, deg + 1), -9, 9, 4)
         den = _pairs(rng, rng.randint(1, deg + 1), -9, 9, 4)
         if any(n for n, _ in den):
-            m = lcm(*(d for _, d in num + den))
-            return RatFunc([n * (m // d) for n, d in num], [n * (m // d) for n, d in den])
+            cs, _ = over_lcm(num + den)
+            return RatFunc(cs[:len(num)], cs[len(num):])
 
 
 def _model(rng: random.Random, max_blow: int = 3) -> chow.SurfaceModel:
@@ -55,9 +54,7 @@ def _model(rng: random.Random, max_blow: int = 3) -> chow.SurfaceModel:
 
 def _numclass(rng: random.Random, m: chow.SurfaceModel) -> chow.NumClass:
     """Entries t0, f, E'..., E''... drawn as _rat(rng) draws them, stored as ints over their lcm."""
-    pairs = _pairs(rng, 2 + m.s + m.t, -30, 30, 12)
-    den = lcm(*(d for _, d in pairs))
-    return chow._new(m, (*(n * (den // d) for n, d in pairs),), den)
+    return chow._new(m, *over_lcm(_pairs(rng, 2 + m.s + m.t, -30, 30, 12)))
 
 
 # -- ratcalc ---------------------------------------------------------------

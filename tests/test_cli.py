@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import gonalslope
-from gonalslope import bounds, cli
+from gonalslope import bounds, cli, verify
 from gonalslope.bounds import ScenarioSpec, c2_bounds_blowup, derived_slope_bound
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -789,10 +789,10 @@ def test_parser_reuse_keeps_no_state(tmp_path, capsys, monkeypatch, child_env):
 
 
 def test_verify_exit_codes_via_stub(capsys, monkeypatch):
-    monkeypatch.setattr(cli.verify_suite, "run", lambda out=print: [])
+    monkeypatch.setattr(verify, "run", lambda out=print: [])
     code, out, _ = run_cli(["verify"], capsys)
     assert code == 0 and "checks passed" in out
-    monkeypatch.setattr(cli.verify_suite, "run",
+    monkeypatch.setattr(verify, "run",
                         lambda out=print: ["stub identity"])
     code, _, err = run_cli(["verify"], capsys)
     assert code == 2
@@ -803,10 +803,10 @@ def test_verify_run_reports_a_raising_check(monkeypatch):
     def broken():
         raise AssertionError("identity refuted")
 
-    monkeypatch.setattr(cli.verify_suite, "CHECKS",
+    monkeypatch.setattr(verify, "CHECKS",
                         [("stub ok", lambda: None), ("stub identity", broken)])
     lines = []
-    assert cli.verify_suite.run(out=lines.append) == ["stub identity"]
+    assert verify.run(out=lines.append) == ["stub identity"]
     assert lines == ["ok   stub ok", "FAIL stub identity: AssertionError: identity refuted"]
 
 

@@ -314,6 +314,15 @@ def is_int_tuple(cs) -> bool:
 
 
 @oracle_settings
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**4)), max_size=8))
+def test_over_lcm_puts_each_pair_over_the_lcm_of_the_denominators(pairs):
+    nums, m = ratcalc.over_lcm(iter(pairs))  # any iterable, a generator included
+    assert m == lcm(*(d for _, d in pairs))
+    assert type(nums) is tuple and is_int_tuple(nums)
+    assert [Fraction(n, m) for n in nums] == [Fraction(n, d) for n, d in pairs]
+
+
+@oracle_settings
 @given(rat_polys, nonzero_rat_polys, nonzero_int_polys)
 def test_canonical_form_matches_sympy_cancel(a, b, common):
     num, den = sympy_product(a, common), sympy_product(b, common)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -312,3 +313,25 @@ _GENUS_ENTRIES = {
 def test_nonpositive_concrete_genus_refused(entry, g):
     with pytest.raises(ValueError, match="genus must be positive"):
         entry(g)
+
+
+#: entry point -> (call on g and its Chern inputs, exact values of those inputs)
+_CHERN_ENTRIES = {
+    "slope_general": (lambda g, *c: slope_general(g, 3, *c), (14, 3, 2)),
+    "trigonal_blowup_parts": (lambda g, *c: slope.trigonal_blowup_parts(g, *c, 1), (14, 3)),
+    "fourgonal_blowup_parts": (lambda g, *c: slope.fourgonal_blowup_parts(g, *c, 1, 1),
+                               (20, 6, 4)),
+    "fourgonal_rearranged": (lambda g, *c: fourgonal_rearranged(g, *c, 1, 1), (20, 6)),
+}
+
+
+@pytest.mark.parametrize("inexact", [1.5, Decimal("1.5")], ids=repr)
+@pytest.mark.parametrize("g", [11, G], ids=str)
+@pytest.mark.parametrize("entry", _CHERN_ENTRIES.values(), ids=_CHERN_ENTRIES)
+def test_inexact_chern_input_refused(entry, g, inexact):
+    call, exact = entry
+    for i in range(len(exact)):
+        data = [*exact]
+        data[i] = inexact
+        with pytest.raises(TypeError, match="not an exact rational"):
+            call(g, *data)

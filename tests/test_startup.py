@@ -31,10 +31,7 @@ def test_cli_import_leaves_verify_json_csv_and_dataclasses_unloaded(child_env):
     assert not loaded & {"gonalslope.verify", "json", "csv", "dataclasses"}
 
 
-def test_verify_suite_resolves_on_first_use():
-    from gonalslope import verify
-
-    assert cli.verify_suite is verify
+def test_unknown_cli_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         cli.no_such_name
 
