@@ -310,6 +310,7 @@ class BlowupRow(Record):
 
     def __init__(self, c1sq: Rat, c2_bound: Rat, kf2: Rat, chif: Rat, slope: Rat | None,
                  verdict: str):  # below / equal / above / inadmissible
+        # each setter by name, not _fill: Record says why
         set_key, set_c1sq, set_c2_bound, set_kf2, set_chif, set_slope, set_verdict = self._setters
         set_key(self, (c1sq, c2_bound, kf2, chif, slope, verdict))
         set_c1sq(self, c1sq)

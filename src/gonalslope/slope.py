@@ -40,6 +40,7 @@ class FibrationInvariants(Record):
     __slots__ = ("kf2", "chif", "slope")
 
     def __init__(self, kf2: Rat | RatFunc, chif: Rat | RatFunc, slope: Rat | RatFunc):
+        # each setter by name, not _fill: Record says why
         set_key, set_kf2, set_chif, set_slope = self._setters
         set_key(self, (kf2, chif, slope))
         set_kf2(self, kf2)
@@ -90,8 +91,7 @@ def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
     """
     if s or t:
         check_blowups(n, s, t)
-    if type(g) is not RatFunc:
-        check_genus(g)
+    check_genus(g)
     if type(g) is type(n) is type(s) is type(t) is int \
             and {*map(type, (c1sq, c2, rsq))} <= _EXACT:
         (a, A), (b, B), (r, R) = (x.as_integer_ratio() for x in (c1sq, c2, rsq))
@@ -122,8 +122,7 @@ def slope_general_via_surface(g: int, n: int, c1sq, c2, rsq, b: int) -> Fibratio
     K_f^2 = K_S^2 - 8(g-1)(b-1) with K_S^2 = n K_Y^2 + 4 c1.K_Y + R^2, and
     chi_f = chi(O_S) - (g-1)(b-1) via the direct-image formula.
     """
-    if type(g) is not RatFunc:
-        check_genus(g)
+    check_genus(g)
     model = SurfaceModel(b)
     c1 = c1_decomposition(g, n, c1sq, model)
     e = BundleData(n - 1, c1, c2)
@@ -155,8 +154,7 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
     ints and RatFuncs alike, and the one division comes last.
     """
     check_blowups(4, s, t)
-    if type(g) is not RatFunc:
-        check_genus(g)
+    check_genus(g)
     g, s, t = (x if type(x) is int else lift(x) for x in (g, s, t))
     (a, A), (f, F) = (x.as_integer_ratio() if type(x) in _EXACT else (lift(x), 1)
                       for x in (c1sq, c2f))
@@ -211,6 +209,6 @@ def harris_stankova_reference(n: int, g=None):
 
 
 def check_genus(g) -> None:
-    """Raise ValueError unless the fibre genus g is positive."""
-    if (g if type(g) is int else lift(g)) <= 0:
+    """Raise ValueError unless the fibre genus g is positive; a RatFunc genus is not checked."""
+    if type(g) is not RatFunc and (g if type(g) is int else lift(g)) <= 0:
         raise ValueError(f"genus must be positive, got {g}")

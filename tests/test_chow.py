@@ -150,24 +150,6 @@ def test_q_of_g_self_pairing_at_sixty_blowups_matches_the_entrywise_sum():
     assert type(got) is RatFunc and got == entrywise(c1, c1) == 1
 
 
-def test_q_of_g_pairing_multiplies_once_per_run(monkeypatch):
-    m = SurfaceModel(0, 60, 60)
-    c = NumClass(m, G, 1, (1 / G,) * 30 + (G + 1,) * 30, (G,) * 60)
-    want = entrywise(c, c)
-    products = []
-    original = RatFunc.__mul__
-
-    def counting(x, y):
-        products.append((x, y))
-        return original(x, y)
-
-    monkeypatch.setattr(RatFunc, "__mul__", counting)
-    monkeypatch.setattr(RatFunc, "__rmul__", counting)
-    assert intersect(c, c) == want
-    # t0.f and f.t0, then per run one entry product and one run-length scaling
-    assert len(products) == 2 + 2 * 3
-
-
 def test_pairing_refuses_mixed_models_on_both_paths():
     m = SurfaceModel(1, 1, 1)
     other = SurfaceModel(1, 1, 2)
@@ -255,12 +237,6 @@ def test_pairing_on_runs_matches_entrywise_sum(pair):
     a, b = pair
     for got in (intersect(a, b), intersect(b, a)):
         assert got == entrywise(a, b)
-
-
-def test_arithmetic_keeps_one_object_per_run():
-    c1 = blownup_c1(12, 4, 5, SurfaceModel(0, 60, 60))
-    for c in (c1, 3 * c1, -c1, c1 - c1):
-        assert len(set(map(id, c.ep))) == 1 and len(set(map(id, c.epp))) == 1
 
 
 # -- integer storage of rational classes -----------------------------------

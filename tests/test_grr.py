@@ -11,8 +11,8 @@ import gonalslope
 from gonalslope import bounds, grr
 from gonalslope.bounds import (ScenarioSpec, c2_bounds_blowup, c2e_bound_fourgonal,
                                derived_slope_bound)
-from gonalslope.chern import BundleData
-from gonalslope.chow import SurfaceModel, canonical_class, intersect, self_intersection
+from gonalslope.chern import BundleData, sym2
+from gonalslope.chow import NumClass, SurfaceModel, canonical_class, intersect, self_intersection
 from gonalslope.grr import (ScenarioError, blownup_c1, blowup_correction,
                             c1_decomposition, check_blowups, chi_total_space, conics_kernel,
                             exceptional_coefficient, exceptional_coefficients,
@@ -230,6 +230,41 @@ def test_blownup_c1_guards():
         blownup_c1(5, 3, 1, SurfaceModel(0, 1, 0))
     with pytest.raises(ValueError):
         blownup_c1(5, 5, 1, SurfaceModel())
+
+
+# -- Q(g) classes specialise to the same call made at a concrete genus ----------
+
+
+def _at(x, g):
+    """x with the genus set to g, entry by entry through bundles and classes."""
+    if isinstance(x, BundleData):
+        return BundleData(x.rank, _at(x.c1, g), _at(x.c2, g))
+    if isinstance(x, NumClass):
+        return NumClass(x.model, _at(x.t0, g), _at(x.f, g), [_at(e, g) for e in x.ep],
+                        [_at(e, g) for e in x.epp])
+    return x(g) if type(x) is RatFunc else x
+
+
+@pytest.mark.parametrize("n,b,s,t", [(3, 1, 0, 60), (4, 2, 60, 60), (4, 0, 3, 1)])
+def test_q_of_g_classes_specialise_to_the_concrete_call(n, b, s, t):
+    m = SurfaceModel(b, s, t)
+    k = canonical_class(m)
+
+    def derive(g):
+        """Every class and number the GRR routes build from c1 at genus g."""
+        c1 = blownup_c1(g, n, Fraction(7, 3), m)
+        e = BundleData(n - 1, c1, (g + 1) * Fraction(1, 3))
+        out = [c1, 3 * c1 - k + g * c1, intersect(c1, k), sym2(e), chi_total_space(n, e)]
+        if n == 3:
+            return out + [trigonal_rsq(e)]
+        f = BundleData(2, c1, g * Fraction(1, 2) - 1)
+        rsq = fourgonal_rsq(e, f)
+        return out + [rsq, conics_kernel(e, rsq)]
+
+    symbolic = derive(G)
+    assert type(symbolic[2]) is RatFunc
+    for g in (grr.GENUS_FLOOR[n], grr.GENUS_FLOOR[n] + 1, 37):
+        assert [_at(x, g) for x in symbolic] == derive(g)
 
 
 # -- the slope layer's transcribed closed forms against grr over Q(g) ----------

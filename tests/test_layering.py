@@ -69,3 +69,26 @@ def test_the_c2_substitution_calls_slope():
     called = {node.func.id for node in ast.walk(helper)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert {"trigonal_blowup_parts", "fourgonal_blowup_parts"} <= called & from_slope
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names a module's imports bind, anywhere in it; __future__ imports bind none."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted({*LAYERS, "__main__"}))
+def test_module_uses_every_name_it_imports(module):
+    """An import a deletion leaves behind fails here."""
+    tree = _tree(module)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert _imported_names(tree) - used == set()
+
+
+def test_package_root_imports_exactly_its_all():
+    assert _imported_names(_tree("__init__")) == set(gonalslope.__all__)

@@ -188,6 +188,15 @@ def test_harris_stankova_reference():
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
+def test_harris_stankova_reference_at_symbolic_g_is_the_profile(n):
+    """A RatFunc genus is not checked, so g = G gives the profile itself."""
+    value = harris_stankova_reference(n, G)
+    assert type(value) is RatFunc and value == harris_stankova_reference(n)
+    if n == 3:
+        assert value == (5 * G - 6) / G
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
 def test_harris_stankova_reference_at_g_is_the_profile_at_g(n):
     profile = harris_stankova_reference(n)
     for g in range(1, 501):
