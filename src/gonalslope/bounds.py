@@ -11,12 +11,11 @@ derivation, so their difference is an honest discrepancy report.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .chow import Record
 from .grr import GENUS_FLOOR, ScenarioError, blowup_correction, check_blowups
-from .ratcalc import G, Rat, RatFunc, lift, over_lcm
+from .ratcalc import G, Rat, RatFunc, concrete, lift, over_lcm
 from .slope import (check_genus, fourgonal_blowup_parts, slope_fourgonal,
                     slope_trigonal, trigonal_blowup_parts)
 
@@ -47,14 +46,14 @@ _STATED = {
 
 
 class SplittingType(Record):
-    """Splitting degrees 0 < alpha <= beta; the order is checked at a concrete genus only."""
+    """Splitting degrees 0 < alpha <= beta; the order is checked where both are numbers."""
 
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: Rat, beta: Rat):
         self._fill(lift(alpha), lift(beta))
-        symbolic = isinstance(self.alpha, RatFunc) or isinstance(self.beta, RatFunc)
-        if not symbolic and not 0 < self.alpha <= self.beta:
+        alpha, beta = concrete(self.alpha), concrete(self.beta)
+        if None not in (alpha, beta) and not 0 < alpha <= beta:
             raise ValueError(f"need 0 < alpha <= beta, got ({self.alpha}, {self.beta})")
 
     def maroni(self) -> Rat:
@@ -130,30 +129,31 @@ class ScenarioSpec(Record):
         if enforce_floor and g < GENUS_FLOOR[self.n]:
             return f"genus {g} below floor {GENUS_FLOOR[self.n]} for degree {self.n}"
         if maroni:
-            # the integral type: alpha = (g+n-1-m)/2, rounded up where m is a floor
-            alpha = -((maroni(g, self.gamma) - d) // 2)
+            alpha = self._integral_alpha(g)
             if alpha > d - alpha:
                 return f"{self.case} splitting needs alpha <= beta, got ({alpha}, {d - alpha})"
             if self.n == 4 and alpha < 4:
                 return f"degree-4 splitting needs alpha >= 4, got {alpha}"
         return None
 
+    def _integral_alpha(self, g: int) -> int:
+        """The integral alpha at genus g: (g+n-1-m)/2, rounded up where m is a floor."""
+        maroni, _ = _MARONI[self.case][self.n]
+        return -((maroni(g, self.gamma) - (g + self.n - 1)) // 2)
+
 
 def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
     """Integral splitting type attached to the case, or None where it has none.
 
-    The case's _splitting at the concrete genus.  Where the case only pins
-    a floor, the integral type rounds alpha up, while the bound coefficient
-    keeps the exact rational floor.  A type that cannot exist is refused by
-    spec.validate at any genus.
+    alpha is spec._integral_alpha, rounded up where the case only pins a
+    floor; the bound coefficient keeps the exact rational floor.  A type
+    that cannot exist is refused by spec.validate at any genus.
     """
     spec.validate(enforce_genus=False)
-    split = _splitting(spec, spec.g)
-    if split is None:
+    if _MARONI[spec.case][spec.n] is None:
         return None
-    alpha, beta, is_floor = split
-    up = math.ceil(alpha) - alpha if is_floor else 0
-    return SplittingType(alpha + up, beta - up)
+    alpha = spec._integral_alpha(spec.g)
+    return SplittingType(alpha, spec.g + spec.n - 1 - alpha)
 
 
 def _splitting(spec: ScenarioSpec, g):
@@ -256,14 +256,14 @@ def _substituted(spec: ScenarioSpec, g, c1sq, c2):
     return fourgonal_blowup_parts(g, c1sq, c2e_bound_fourgonal(c1sq, c2), c2, spec.s, spec.t)
 
 
-def _derived(spec: ScenarioSpec, q: RatFunc, corr: Rat) -> RatFunc:
-    """The slope over Q(g) at c1^2 = 1 once the c2 bound q*(c1^2 + corr) is in.
+def _derived(spec: ScenarioSpec, q: RatFunc) -> RatFunc:
+    """The slope over Q(g) at c1^2 = 1 once the c2 bound q*c1^2 is in.
 
     Both constant terms of the substituted K_f^2 and chi_f must vanish, which
     certifies that c1^2 cancels; the degree-4 slope also runs the
     fourgonal_rearranged self-check.
     """
-    const = _substituted(spec, G, 0, q * corr)
+    const = _substituted(spec, G, 0, 0)
     if not all(x.is_zero() for x in const):
         raise AssertionError(f"c1^2 failed to cancel for {spec}: constant terms {const}")
     return (slope_trigonal(G, 1, q) if spec.n == 3
@@ -282,7 +282,7 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
         raise ScenarioError("c1^2 does not cancel once s or t is positive; "
                             "use blowup_bound_report")
     q, corr, strict, chain, _ = _c2_chain(spec)
-    derived = _derived(spec, q, corr)
+    derived = _derived(spec, q)
     stated = _STATED[spec.case][spec.n](spec.gamma)  # spec validated above
     disc = stated - derived
     notes = []
@@ -352,7 +352,7 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     base_spec = spec.replace(s=0, t=0)
     base_spec.validate(enforce_genus=not allow_out_of_range)  # genus rules read neither s nor t
     q, corr, strict, chain, _ = _c2_chain(spec)
-    baseline = _derived(base_spec, q, 0)
+    baseline = _derived(base_spec, q)
     baseline_at_g = baseline(spec.g)
     coeff = q(spec.g)
     kf2_0, chif_0 = _substituted(spec, spec.g, 0, coeff * corr)

@@ -205,9 +205,8 @@ class NumClass:
     def __str__(self) -> str:
         vals, s = self._entries(), self.model.s
         terms = [(vals[0], "T0"), (vals[1], "F")]
-        # != 0, not truth: a RatFunc has no __bool__, so a zero one is truthy
-        terms += [(x, f"E'{i}") for i, x in enumerate(vals[2:2 + s]) if x != 0]
-        terms += [(x, f"E''{j}") for j, x in enumerate(vals[2 + s:]) if x != 0]
+        terms += [(x, f"E'{i}") for i, x in enumerate(vals[2:2 + s]) if x]
+        terms += [(x, f"E''{j}") for j, x in enumerate(vals[2 + s:]) if x]
         bits = (f"({c})*{gen}" if " " in str(c) else f"{c}*{gen}" for c, gen in terms)
         return " + ".join(bits).replace("+ -", "- ")
 

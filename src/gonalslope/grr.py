@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chern import BundleData, sym2, whitney_quotient
 from .chow import NumClass, SurfaceModel, canonical_class, chi_structure, intersect
-from .ratcalc import Rat, RatFunc, lift
+from .ratcalc import Rat, concrete, lift
 
 #: lowest fibre genus supported, by cover degree
 GENUS_FLOOR = {3: 5, 4: 10}
@@ -111,7 +111,7 @@ def c1_decomposition(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass
     if model.s or model.t:
         raise ValueError("decomposition on the unblown model only")
     d = g + n - 1
-    if not isinstance(d, RatFunc) and d <= 0:
+    if (degree := concrete(d)) is not None and degree <= 0:
         raise ValueError(f"fibre degree g+n-1 = {d} must be positive")
     return NumClass(model, d, lift(c1sq) / (2 * d))
 

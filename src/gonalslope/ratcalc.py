@@ -2,15 +2,16 @@
 
 Scalars are stdlib ``fractions.Fraction`` values (``Rat``) or ``RatFunc``s;
 ``lift`` admits a caller's scalar into every layer and refuses a float or
-Decimal.  ``RatFunc`` is a quotient of polynomials in one formal variable,
-printed as ``g``; it accepts int or Fraction coefficients but stores
-numerator and denominator as tuples of int.  When every coefficient's type
-is ``int`` they are trimmed and canonicalised as given; otherwise (a
-``bool`` included) each is admitted through ``_exact`` and all are brought
-onto their lcm by ``over_lcm``, which every layer uses for that.  Every
-instance is held in canonical form: numerator and denominator coprime as
-polynomials, all coefficients jointly coprime, leading denominator
-coefficient positive.
+Decimal; ``concrete`` is the one rule that tells a number (a constant
+RatFunc included) from a function of g.  ``RatFunc`` is a quotient of
+polynomials in one formal variable, printed as ``g``; it accepts int or
+Fraction coefficients but stores numerator and denominator as tuples of
+int.  When every coefficient's type is ``int`` they are trimmed and
+canonicalised as given; otherwise (a ``bool`` included) each is admitted
+through ``_exact`` and all are brought onto their lcm by ``over_lcm``,
+which every layer uses for that.  Every instance is held in canonical form:
+numerator and denominator coprime as polynomials, all coefficients jointly
+coprime, leading denominator coefficient positive.
 The common factor is found by a primitive polynomial remainder sequence
 over Z, so no arithmetic leaves the integers.  It runs only between two
 nonconstant operands.  If a/b is canonical and p/q is a nonzero constant,
@@ -49,6 +50,13 @@ def _exact(x) -> Fraction:
 def lift(x):
     """A caller's scalar: Fraction or RatFunc as is, int as Fraction, else TypeError."""
     return x if isinstance(x, (Fraction, RatFunc)) else _exact(x)
+
+
+def concrete(x):
+    """int or Fraction as is, a constant RatFunc as its Fraction, None for a function of g."""
+    if isinstance(x, RatFunc):
+        return x.as_rat() if x.is_constant() else None
+    return x if isinstance(x, (int, Fraction)) else _exact(x)
 
 
 def over_lcm(pairs) -> tuple[tuple[int, ...], int]:
@@ -202,9 +210,7 @@ def _peval(a: _Poly, p: int, q: int, k: int) -> int:
     return acc * q ** (k + 1 - len(a))
 
 
-def _pstr(a: _Poly, var: str = "g") -> str:
-    if not a:
-        return "0"
+def _pstr(a: _Poly) -> str:
     parts: list[str] = []
     for k in range(len(a) - 1, -1, -1):
         c = a[k]
@@ -215,7 +221,7 @@ def _pstr(a: _Poly, var: str = "g") -> str:
         if k == 0:
             body = str(mag)
         else:
-            pw = var if k == 1 else f"{var}^{k}"
+            pw = "g" if k == 1 else f"g^{k}"
             body = pw if mag == 1 else f"{mag}{pw}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
@@ -252,14 +258,13 @@ class RatFunc:
         q = _exact(q)
         return _canon((q.numerator,) if q else (), (q.denominator,))
 
-    @classmethod
-    def variable(cls) -> RatFunc:
-        return cls((0, 1))
-
     # predicates and views -------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
@@ -386,4 +391,4 @@ class RatFunc:
 
 
 #: the formal variable, shared by everything downstream
-G = RatFunc.variable()
+G = RatFunc((0, 1))

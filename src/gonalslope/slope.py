@@ -17,7 +17,7 @@ from fractions import Fraction
 from .chern import BundleData
 from .chow import Record, SurfaceModel, canonical_class, intersect
 from .grr import c1_decomposition, check_blowups, chi_total_space
-from .ratcalc import G, Rat, RatFunc, lift
+from .ratcalc import G, Rat, RatFunc, concrete, lift
 
 
 #: input types of the integer route: as_integer_ratio() gives (numerator, denominator)
@@ -49,11 +49,10 @@ class FibrationInvariants(Record):
 
     def warning(self) -> str | None:
         """Flag a numeric slope outside the admissible interval (0, 12], else a negative chi_f."""
-        if isinstance(self.slope, RatFunc):
-            return None
-        if not 0 < self.slope <= 12:
+        slope, chif = concrete(self.slope), concrete(self.chif)
+        if slope is not None and not 0 < slope <= 12:
             return f"slope {self.slope} outside (0, 12]"
-        if self.chif < 0:
+        if chif is not None and chif < 0:
             return f"chi_f {self.chif} is negative"
         return None
 
@@ -209,6 +208,6 @@ def harris_stankova_reference(n: int, g=None):
 
 
 def check_genus(g) -> None:
-    """Raise ValueError unless the fibre genus g is positive; a RatFunc genus is not checked."""
-    if type(g) is not RatFunc and (g if type(g) is int else lift(g)) <= 0:
+    """Raise ValueError unless genus g is positive; a nonconstant RatFunc genus is not checked."""
+    if (value := concrete(g)) is not None and value <= 0:
         raise ValueError(f"genus must be positive, got {g}")

@@ -327,3 +327,44 @@ def test_inexact_scalar_refused_at_every_entry(entry):
     entry(Fraction(1, 10))
     with pytest.raises(TypeError):
         entry(0.1)
+
+
+# -- a constant RatFunc is checked as the number it is ------------------------
+
+#: each check that reads ratcalc.concrete, with the value in the slot it checks
+_CONCRETE_CHECKS = {
+    "check_genus": gs.check_genus,
+    "slope_general": lambda g: gs.slope_general(g, 3, 5, 1, 1),
+    "fourgonal_rearranged": lambda g: gs.fourgonal_rearranged(g, 14, 3),
+    "harris_stankova_reference": lambda g: gs.harris_stankova_reference(3, g),
+    "c1_decomposition": lambda g: gs.c1_decomposition(g, 3, 14, gs.SurfaceModel()),
+    "SplittingType.alpha": lambda x: gs.SplittingType(x, 5),
+    "SplittingType.beta": lambda x: gs.SplittingType(1, x),
+    "warning.slope": lambda x: gs.FibrationInvariants(x, 1, x).warning(),
+    "warning.chif": lambda x: gs.FibrationInvariants(x, x, 1).warning(),
+}
+
+
+def _outcome(check, x):
+    """("ok", result) or (exception type, message) of check(x)."""
+    try:
+        return "ok", check(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("value", [-5, -3, 0, 5, 13, Fraction(-13, 8)], ids=str)
+@pytest.mark.parametrize("check", _CONCRETE_CHECKS.values(), ids=_CONCRETE_CHECKS)
+def test_constant_ratfunc_checked_as_its_number(check, value):
+    forms = [Fraction(value), gs.RatFunc.const(value)]
+    if value.denominator == 1:
+        forms.append(int(value))
+    expected = _outcome(check, forms[0])
+    for form in forms[1:]:
+        assert _outcome(check, form) == expected, type(form).__name__
+
+
+@pytest.mark.parametrize("g", [G, G - 100], ids=str)
+@pytest.mark.parametrize("check", _CONCRETE_CHECKS.values(), ids=_CONCRETE_CHECKS)
+def test_function_of_g_stays_unchecked(check, g):
+    assert _outcome(check, g)[0] == "ok"

@@ -92,3 +92,43 @@ def test_module_uses_every_name_it_imports(module):
 
 def test_package_root_imports_exactly_its_all():
     assert _imported_names(_tree("__init__")) == set(gonalslope.__all__)
+
+
+#: (module, function) where a RatFunc type test picks a storage or result
+#: representation; whether a value is a number is ratcalc.concrete's to say
+RATFUNC_TYPE_TESTS = {("chow", "NumClass.__init__"), ("chow", "NumClass.__rmul__"),
+                      ("slope", "fourgonal_rearranged")}
+
+
+def _names_ratfunc(node: ast.expr) -> bool:
+    """node is the name RatFunc, or a tuple or set that holds it."""
+    if isinstance(node, (ast.Tuple, ast.Set)):
+        return any(map(_names_ratfunc, node.elts))
+    return isinstance(node, ast.Name) and node.id == "RatFunc"
+
+
+def _ratfunc_type_tests(tree: ast.Module):
+    """The qualified name of the function around each RatFunc type test in tree."""
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("isinstance", "issubclass") \
+                and any(map(_names_ratfunc, node.args[1:])):
+            yield scope
+        if isinstance(node, ast.Compare) \
+                and any(isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn, ast.Eq, ast.NotEq))
+                        for op in node.ops) \
+                and any(map(_names_ratfunc, [node.left, *node.comparators])):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+    return visit(tree, "")
+
+
+def test_only_ratcalc_tells_a_number_from_a_function_of_g():
+    """Outside ratcalc a RatFunc type test only picks a representation; equality
+    also shows that the search finds the three that do."""
+    found = {(module, scope) for module in LAYERS[1:]
+             for scope in _ratfunc_type_tests(_tree(module))}
+    assert found == RATFUNC_TYPE_TESTS

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gonalslope import ratcalc
-from gonalslope.ratcalc import G, PoleError, RatFunc, _pgcd, parse_rat
+from gonalslope.ratcalc import G, PoleError, RatFunc, _pgcd, concrete, parse_rat
 
 
 def rand_ratfunc(rng: random.Random, deg: int = 3) -> RatFunc:
@@ -117,6 +117,53 @@ def test_zero_and_constants():
     assert c.is_constant() and c.as_rat() == Fraction(-3, 7)
     with pytest.raises(ValueError):
         G.as_rat()
+
+
+@pytest.mark.parametrize("value,number", [
+    (3, 3), (Fraction(-5, 4), Fraction(-5, 4)), (True, True),
+    (RatFunc.const(0), Fraction(0)), (RatFunc.const(Fraction(7, 2)), Fraction(7, 2)),
+    (G, None), (G - 100, None), (1 / G, None),
+])
+def test_concrete_tells_a_number_from_a_function_of_g(value, number):
+    got = concrete(value)
+    assert got == number and type(got) is type(number)
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1"], ids=repr)
+def test_concrete_refuses_what_lift_refuses(value):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        concrete(value)
+
+
+@pytest.mark.parametrize("q", [0, -3, Fraction(-5, 4), Fraction(7, 2)])
+def test_bool_of_a_constant_is_bool_of_its_number(q):
+    f = RatFunc.const(q)
+    assert bool(f) == bool(f.as_rat()) == bool(q)
+
+
+def test_bool_of_a_function_of_g():
+    assert bool(G) and bool(G - 100) and not (G - G)
+
+
+#: binary operators and compose, each with the RatFunc on the left and on the right
+FOREIGN_OPS = {
+    "+": (lambda f, x: f + x, lambda f, x: x + f),
+    "-": (lambda f, x: f - x, lambda f, x: x - f),
+    "*": (lambda f, x: f * x, lambda f, x: x * f),
+    "/": (lambda f, x: f / x, lambda f, x: x / f),
+    "**": (lambda f, x: f ** x, lambda f, x: x ** f),
+    "compose": (lambda f, x: f.compose(x), lambda f, x: f.compose(x)),
+}
+
+
+@pytest.mark.parametrize("foreign", [0.5, Decimal("0.5"), "g"], ids=repr)
+@pytest.mark.parametrize("op", FOREIGN_OPS)
+def test_foreign_operands_raise_type_error(op, foreign):
+    for side in FOREIGN_OPS[op]:
+        for f in (G, RatFunc.const(2)):
+            with pytest.raises(TypeError):
+                side(f, foreign)
+    assert (G == foreign) is False and (foreign == G) is False
 
 
 @pytest.mark.parametrize("build", [lambda: RatFunc((0.5, 1)), lambda: RatFunc((1,), ("2",)),

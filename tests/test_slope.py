@@ -175,6 +175,13 @@ def test_warning_outside_admissible_interval():
     assert both.warning() == "slope -1 outside (0, 12]"
 
 
+def test_warning_checks_each_numeric_entry():
+    """A function of g is not checked; a number beside it still is."""
+    assert FibrationInvariants(-G, RatFunc.const(-1), G).warning() == "chi_f -1 is negative"
+    assert FibrationInvariants(G, G, Fraction(13)).warning() == "slope 13 outside (0, 12]"
+    assert FibrationInvariants(G, G - 100, 1).warning() is None
+
+
 def test_harris_stankova_reference():
     assert harris_stankova_reference(2, 4) == 3
     assert harris_stankova_reference(3) == 5 - 6 / G
