@@ -264,7 +264,7 @@ def _derived(spec: ScenarioSpec, q: RatFunc) -> RatFunc:
     fourgonal_rearranged self-check.
     """
     const = _substituted(spec, G, 0, 0)
-    if not all(x.is_zero() for x in const):
+    if any(const):
         raise AssertionError(f"c1^2 failed to cancel for {spec}: constant terms {const}")
     return (slope_trigonal(G, 1, q) if spec.n == 3
             else slope_fourgonal(G, 1, c2e_bound_fourgonal(1, q), q)).slope
@@ -286,7 +286,7 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
     stated = _STATED[spec.case][spec.n](spec.gamma)  # spec validated above
     disc = stated - derived
     notes = []
-    if not disc.is_zero():
+    if disc:
         notes.append(f"stated form differs from the derivation by {disc}")
     if strict:
         notes.append("derived bound is strict (unbalanced splitting)")
@@ -345,9 +345,9 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     numerators over one denominator (ratcalc.over_lcm), a grid point p/r
     gives one Fraction per cell, chi_f > 0 is a sign test on its numerator,
     and the verdict is a cross-multiplication against the baseline at g.
-    The grid is sorted and deduplicated as its integer numerators over its
-    lcm: sorting the lifted Fractions themselves measured about 5% slower on
-    the benchmark's blowup-grid workload.
+    The grid, read by ratcalc.concrete, is sorted and deduplicated as its
+    integer numerators over its lcm: sorting the lifted Fractions measured
+    about 5% slower on the benchmark's blowup-grid workload.
     """
     base_spec = spec.replace(s=0, t=0)
     base_spec.validate(enforce_genus=not allow_out_of_range)  # genus rules read neither s nor t
@@ -364,7 +364,11 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     # slope = kn*xd / (xn*kd) against the baseline B = u/v: kn*xd*v vs u*kd*xn
     k_scale, x_scale = xd * baseline_at_g.denominator, kd * baseline_at_g.numerator
 
-    points = [lift(x) for x in c1sq_grid]
+    points = []
+    for x in c1sq_grid:
+        if (value := concrete(x)) is None:
+            raise ScenarioError(f"c1^2 grid point {x} is a function of g, not a number")
+        points.append(lift(value))
     keys, _ = over_lcm(x.as_integer_ratio() for x in points)
     by_key = dict(zip(keys, points))
     rows = []

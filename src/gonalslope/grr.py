@@ -102,6 +102,14 @@ def conics_kernel(e: BundleData, rsq: Rat) -> BundleData:
     return whitney_quotient(sym2(e), push_2r_bundle(4, e, rsq))
 
 
+def _fibre_degree(g, n: int):
+    """g+n-1, the fibre degree of E; ValueError unless it is positive where it is a number."""
+    d = g + n - 1
+    if (degree := concrete(d)) is not None and degree <= 0:
+        raise ValueError(f"fibre degree g+n-1 = {d} must be positive")
+    return d
+
+
 def c1_decomposition(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass:
     """c1(E) = (g+n-1) T0 + (c1sq / 2(g+n-1)) F on an unblown model.
 
@@ -110,9 +118,7 @@ def c1_decomposition(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass
     """
     if model.s or model.t:
         raise ValueError("decomposition on the unblown model only")
-    d = g + n - 1
-    if (degree := concrete(d)) is not None and degree <= 0:
-        raise ValueError(f"fibre degree g+n-1 = {d} must be positive")
+    d = _fibre_degree(g, n)
     return NumClass(model, d, lift(c1sq) / (2 * d))
 
 
@@ -154,7 +160,8 @@ def blownup_c1(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass:
     coefficient absorbs blowup_correction() to keep the self-intersection
     at c1sq.
     """
-    d = g + n - 1
-    fcoef = (lift(c1sq) + blowup_correction(n, model.s, model.t)) / (2 * d)
+    corr = blowup_correction(n, model.s, model.t)  # refuses a bad n before g+n-1 is formed
+    d = _fibre_degree(g, n)
+    fcoef = (lift(c1sq) + corr) / (2 * d)
     return NumClass(model, d, fcoef, (_EXCEPTIONAL.get((n, "total_ram"), 0),) * model.s,
                     (_EXCEPTIONAL[(n, "index3")],) * model.t)

@@ -3,15 +3,15 @@
 Scalars are stdlib ``fractions.Fraction`` values (``Rat``) or ``RatFunc``s;
 ``lift`` admits a caller's scalar into every layer and refuses a float or
 Decimal; ``concrete`` is the one rule that tells a number (a constant
-RatFunc included) from a function of g.  ``RatFunc`` is a quotient of
-polynomials in one formal variable, printed as ``g``; it accepts int or
-Fraction coefficients but stores numerator and denominator as tuples of
-int.  When every coefficient's type is ``int`` they are trimmed and
-canonicalised as given; otherwise (a ``bool`` included) each is admitted
-through ``_exact`` and all are brought onto their lcm by ``over_lcm``,
-which every layer uses for that.  Every instance is held in canonical form:
-numerator and denominator coprime as polynomials, all coefficients jointly
-coprime, leading denominator coefficient positive.
+RatFunc included) from a function of g; ``__bool__`` is the one zero test.
+``RatFunc`` is a quotient of polynomials in one formal variable, printed as
+``g``; it accepts int or Fraction coefficients but stores numerator and
+denominator as tuples of int.  When every coefficient's type is ``int`` they
+are trimmed and canonicalised as given; otherwise (a ``bool`` included) each
+is admitted through ``_exact`` and all are brought onto their lcm by
+``over_lcm``, which every layer uses for that.  Every instance is held in
+canonical form: numerator and denominator coprime as polynomials, all
+coefficients jointly coprime, leading denominator coefficient positive.
 The common factor is found by a primitive polynomial remainder sequence
 over Z, so no arithmetic leaves the integers.  It runs only between two
 nonconstant operands.  If a/b is canonical and p/q is a nonzero constant,
@@ -260,9 +260,6 @@ class RatFunc:
 
     # predicates and views -------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -324,7 +321,7 @@ class RatFunc:
         if o is None:
             return NotImplemented
         on, od, constant = o
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("division by the zero rational function")
         return self._join(constant, _pmul(on, self.den), _pmul(od, self.num))
 
@@ -332,7 +329,7 @@ class RatFunc:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            if self.is_zero():
+            if not self:
                 raise ZeroDivisionError("inverse of the zero rational function")
             return _canon(self.den, self.num) ** (-k)
         out = RatFunc.const(1)

@@ -196,13 +196,11 @@ def slope_fourgonal_blowup(g, c1sq, c2e, c2f, s, t) -> FibrationInvariants:
 def harris_stankova_reference(n: int, g=None):
     """Reference slope profile 6 - 2/(n-1) - 2n/g for degree-n covers.
 
-    Returns a RatFunc in g, or its exact value, in Fractions, when a genus
-    is supplied.
+    A RatFunc in g, or its exact value at a supplied genus g.
     """
     if n < 2:
         raise ValueError(f"reference profile needs n >= 2, got {n}")
-    if g is None:
-        return 6 - Fraction(2, n - 1) - 2 * n / G
+    g = G if g is None else g
     check_genus(g)
     return 6 - Fraction(2, n - 1) - Fraction(2 * n) / g
 

@@ -272,7 +272,7 @@ def test_derived_bounds_match_stated(spec, closed):
     res = derived_slope_bound(spec)
     assert res.derived_bound == closed
     assert res.stated_bound == closed
-    assert res.discrepancy.is_zero()
+    assert not res.discrepancy
     assert res.notes == () or all("strict" in n for n in res.notes)
 
 
@@ -376,6 +376,18 @@ def test_blowup_report_rows_sorted_and_deduplicated():
     rep = blowup_bound_report(ScenarioSpec(3, 5, "general_odd", t=1),
                               [100, 14, 14, 20])
     assert [r.c1sq for r in rep.rows] == [14, 20, 100]
+
+
+def test_blowup_report_reads_a_constant_ratfunc_as_its_number():
+    spec = ScenarioSpec(3, 5, "general_odd", t=1)
+    assert blowup_bound_report(spec, [RatFunc.const(14), 20]) \
+        == blowup_bound_report(spec, [Fraction(14), 20])
+
+
+def test_blowup_report_refuses_a_function_of_g():
+    with pytest.raises(ScenarioError,
+                       match=r"^c1\^2 grid point g is a function of g, not a number$"):
+        blowup_bound_report(ScenarioSpec(3, 5, "general_odd", t=1), [G])
 
 
 def test_blowup_report_empty_admissible_grid():

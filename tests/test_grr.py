@@ -230,6 +230,8 @@ def test_blownup_c1_guards():
         blownup_c1(5, 3, 1, SurfaceModel(0, 1, 0))
     with pytest.raises(ValueError):
         blownup_c1(5, 5, 1, SurfaceModel())
+    with pytest.raises(ValueError, match=r"^fibre degree g\+n-1 = -1 must be positive$"):
+        blownup_c1(-3, 3, 14, SurfaceModel(0, 0, 1))
 
 
 # -- Q(g) classes specialise to the same call made at a concrete genus ----------

@@ -132,3 +132,11 @@ def test_only_ratcalc_tells_a_number_from_a_function_of_g():
     found = {(module, scope) for module in LAYERS[1:]
              for scope in _ratfunc_type_tests(_tree(module))}
     assert found == RATFUNC_TYPE_TESTS
+
+
+@pytest.mark.parametrize("module", sorted({*LAYERS, "__init__", "__main__"}))
+def test_bool_is_the_only_zero_test(module):
+    """RatFunc.__bool__ says whether a value is zero; no is_zero spells it twice."""
+    names = {getattr(node, field, None) for node in ast.walk(_tree(module))
+             for field in ("attr", "name", "id")}
+    assert "is_zero" not in names
