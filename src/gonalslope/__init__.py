@@ -13,7 +13,7 @@ layers before it.
 from .bounds import (BlowupReport, BlowupRow, BoundResult, C2Bound, ScenarioError,
                      ScenarioSpec, SplittingType, blowup_bound_report,
                      c2_bounds_blowup, c2e_bound_fourgonal, compare,
-                     derived_slope_bound, index_bound, splitting_for_scenario,
+                     derived_slope_bound, genus_notes, index_bound, splitting_for_scenario,
                      stated_closed_form, weak_positivity_bound)
 from .chern import (BundleData, ChernCharacter, UnsupportedRankError,
                     chern_character, sym2, sym2_roots_oracle, whitney,
@@ -43,7 +43,7 @@ __all__ = [
     "canonical_class", "check_blowups", "check_genus", "chern_character",
     "chi_structure", "chi_total_space", "compare", "conics_kernel",
     "derived_slope_bound", "exceptional_coefficient", "exceptional_coefficients",
-    "fourgonal_rearranged", "fourgonal_rsq", "harris_stankova_reference",
+    "fourgonal_rearranged", "fourgonal_rsq", "genus_notes", "harris_stankova_reference",
     "index_bound", "intersect", "lift", "moduli_conversion", "parse_rat",
     "push_2r_bundle", "push_ramification", "self_intersection",
     "slope_fourgonal", "slope_fourgonal_blowup", "slope_general",

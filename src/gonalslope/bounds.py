@@ -8,6 +8,10 @@ relevant second Chern class; substituting that bound into the slope formulas
 gives the derived bound as an exact rational function of g.  The stated
 closed forms are kept separately, in _STATED, and never reused in the
 derivation, so their difference is an honest discrepancy report.
+
+A genus is checked against the case's rules first (ScenarioSpec.genus_problem)
+and then against the degree's floor (genus_notes), the only rule that
+--allow-out-of-range relaxes; a result computed below the floor carries a note.
 """
 from __future__ import annotations
 
@@ -81,6 +85,19 @@ def c2e_bound_fourgonal(c1sq, c2f):
     return (lift(c1sq) + lift(c2f)) / 4
 
 
+def genus_notes(n: int, g: int, allow: bool) -> list[str]:
+    """The floor, the one genus rule --allow-out-of-range (allow) relaxes: no notes
+    from it up; below it a refusal, or with allow a note.  check_genus comes first."""
+    check_genus(g)
+    floor = GENUS_FLOOR[n]
+    if g >= floor:
+        return []
+    if not allow:
+        raise ScenarioError(f"genus {g} below floor {floor} for degree {n}; "
+                            "pass --allow-out-of-range to compute anyway")
+    return [f"out-of-range: genus {g} below floor {floor}"]
+
+
 class ScenarioSpec(Record):
     """Cover degree, fibre genus, case tag, blow-up counts (s, t); form checked when made."""
 
@@ -106,14 +123,15 @@ class ScenarioSpec(Record):
         elif gamma is not None:
             raise ScenarioError(f"gamma is only meaningful for factorizing, got {case!r}")
 
-    def validate(self, enforce_genus: bool = True) -> None:
-        """Raise ScenarioError unless g suits the spec; enforce_genus=False skips the floor."""
-        problem = self.genus_problem(enforce_floor=enforce_genus)
+    def validate(self, enforce_genus: bool = True) -> list[str]:
+        """Raise ScenarioError unless g suits the spec, floor last; return the floor notes."""
+        problem = self.genus_problem()
         if problem:
             raise ScenarioError(problem)
+        return genus_notes(self.n, self.g, allow=not enforce_genus)
 
-    def genus_problem(self, enforce_floor: bool, g: int | None = None) -> str | None:
-        """Why genus g (by default the spec's own) does not suit this scenario, or None."""
+    def genus_problem(self, g: int | None = None) -> str | None:
+        """Why genus g (by default the spec's own) breaks a rule no flag relaxes, or None."""
         g = self.g if g is None else g
         try:
             check_genus(g)
@@ -126,8 +144,6 @@ class ScenarioSpec(Record):
         if not is_floor and (d - maroni(g, self.gamma)) % 2:
             # an exact alpha = (g+n-1-m)/2 is integral only at one parity of g
             return f"{self.case} needs {'even' if g % 2 else 'odd'} g, got {g}"
-        if enforce_floor and g < GENUS_FLOOR[self.n]:
-            return f"genus {g} below floor {GENUS_FLOOR[self.n]} for degree {self.n}"
         if maroni:
             alpha = self._integral_alpha(g)
             if alpha > d - alpha:
@@ -277,7 +293,7 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
     Blow-up scenarios do not cancel c1^2 and belong to blowup_bound_report
     instead.
     """
-    spec.validate(enforce_genus=not allow_out_of_range)
+    notes = spec.validate(enforce_genus=not allow_out_of_range)
     if spec.s or spec.t:
         raise ScenarioError("c1^2 does not cancel once s or t is positive; "
                             "use blowup_bound_report")
@@ -285,7 +301,6 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
     derived = _derived(spec, q)
     stated = _STATED[spec.case][spec.n](spec.gamma)  # spec validated above
     disc = stated - derived
-    notes = []
     if disc:
         notes.append(f"stated form differs from the derivation by {disc}")
     if strict:
@@ -323,13 +338,13 @@ class BlowupRow(Record):
 
 class BlowupReport(Record):
     __slots__ = ("scenario", "rows", "baseline", "baseline_at_g", "minimum", "limit",
-                 "admissible_from", "strict", "chain")
+                 "admissible_from", "strict", "chain", "notes")
 
     def __init__(self, scenario: ScenarioSpec, rows: tuple[BlowupRow, ...], baseline: RatFunc,
                  baseline_at_g: Rat, minimum: Rat, limit: Rat, admissible_from: Rat | None,
-                 strict: bool, chain: tuple[str, ...] = ()):
+                 strict: bool, chain: tuple[str, ...] = (), notes: tuple[str, ...] = ()):
         self._fill(scenario, rows, baseline, baseline_at_g, minimum, limit, admissible_from,
-                   strict, chain)
+                   strict, chain, notes)
 
 
 def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
@@ -350,7 +365,7 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     about 5% slower on the benchmark's blowup-grid workload.
     """
     base_spec = spec.replace(s=0, t=0)
-    base_spec.validate(enforce_genus=not allow_out_of_range)  # genus rules read neither s nor t
+    notes = base_spec.validate(not allow_out_of_range)  # genus rules read neither s nor t
     q, corr, strict, chain, _ = _c2_chain(spec)
     baseline = _derived(base_spec, q)
     baseline_at_g = baseline(spec.g)
@@ -389,4 +404,4 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     limit = kf2_lead / chif_lead
     admissible_from = -chif_0 / chif_lead if chif_lead > 0 else None
     return BlowupReport(spec, tuple(rows), baseline, baseline_at_g,
-                        min(slopes), limit, admissible_from, strict, chain)
+                        min(slopes), limit, admissible_from, strict, chain, tuple(notes))

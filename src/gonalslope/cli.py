@@ -23,11 +23,11 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import (CASES, ScenarioError, ScenarioSpec, blowup_bound_report,
-                     compare, derived_slope_bound)
-from .grr import GENUS_FLOOR, check_blowups
+                     compare, derived_slope_bound, genus_notes)
+from .grr import check_blowups
 from .ratcalc import parse_rat
-from .slope import (ZeroChiError, check_genus, harris_stankova_reference,
-                    moduli_conversion, slope_fourgonal_blowup, slope_trigonal_blowup)
+from .slope import (ZeroChiError, harris_stankova_reference, moduli_conversion,
+                    slope_fourgonal_blowup, slope_trigonal_blowup)
 
 EXIT_OK, EXIT_INPUT, EXIT_VERIFY, EXIT_DEGENERATE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -199,23 +199,6 @@ def _require(args: argparse.Namespace, attr: str):
     return val
 
 
-def _genus_notes(n: int, g: int, allow: bool) -> list[str]:
-    """The genus gate: check_genus refuses a genus below 1 first; then no notes
-    from the degree's floor up.
-
-    Below the floor it refuses, or under --allow-out-of-range returns the note
-    to print.
-    """
-    check_genus(g)
-    floor = GENUS_FLOOR[n]
-    if g >= floor:
-        return []
-    if not allow:
-        raise ScenarioError(f"genus {g} below floor {floor} for degree {n}; "
-                            "pass --allow-out-of-range to compute anyway")
-    return [f"out-of-range: genus {g} below floor {floor}"]
-
-
 # -- output writers ----------------------------------------------------------
 
 
@@ -279,7 +262,7 @@ def cmd_slope(args: argparse.Namespace) -> int:
     s, t = args.s or 0, args.t or 0
     check_blowups(n, s, t)
     c1sq = _require(args, "c1sq")
-    notes = _genus_notes(n, g, args.allow_out_of_range)
+    notes = genus_notes(n, g, args.allow_out_of_range)
     if n == 3:
         if args.c2e is not None or args.c2f is not None:
             args._sp.error("--c2e/--c2f apply to --n 4; degree 3 takes --c2")
@@ -305,21 +288,16 @@ def cmd_slope(args: argparse.Namespace) -> int:
     else:
         columns = [k for k, _ in fields] + [f"{k}_approx" for k, _ in fields] + ["notes"]
         values = [v for _, v in fields] + [_approx(v) for _, v in fields]
-        if fmt == "csv":
-            _print_csv(columns, [[_fmt(v) for v in values] + ["; ".join(notes)]])
-        else:
-            _print_jsonl([dict(zip(columns, values + [notes]))])
+        _emit_rows(fmt, columns, [values + [notes if fmt == "jsonl" else "; ".join(notes)]])
     return EXIT_OK
 
 
-def _scenario_from_args(args: argparse.Namespace,
-                        genus: str = "g") -> tuple[ScenarioSpec, list[str]]:
-    """The scenario the options name, at the genus option given, and its genus notes."""
+def _scenario_from_args(args: argparse.Namespace, genus: str = "g") -> ScenarioSpec:
+    """The scenario the options name, at the genus option given."""
     n = _require(args, "n")
     g = _require(args, genus)
     case = _require(args, "case")
-    spec = ScenarioSpec(n, g, _norm_case(case), args.gamma, args.s or 0, args.t or 0)
-    return spec, _genus_notes(n, g, args.allow_out_of_range)
+    return ScenarioSpec(n, g, _norm_case(case), args.gamma, args.s or 0, args.t or 0)
 
 
 def _scenario_fields(spec: ScenarioSpec, *keys: str) -> list[tuple[str, object]]:
@@ -333,9 +311,8 @@ def _scenario_text(spec: ScenarioSpec, *keys: str) -> str:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    spec, notes = _scenario_from_args(args)
+    spec = _scenario_from_args(args)
     res = compare(spec, allow_out_of_range=args.allow_out_of_range)
-    notes += res.notes
     g = spec.g
     ref = harris_stankova_reference(spec.n, g)
     fields = [
@@ -355,17 +332,18 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if fmt == "table":
         _print_kv([("scenario", _scenario_text(spec))] + _labelled(fields))
         _print_block("chain", res.chain)
-        if notes:
-            _print_block("notes", notes)
+        if res.notes:
+            _print_block("notes", res.notes)
         _print_block("samples (g derived stated)",
                      (f"{gv}  {_fmt(dv)}  {_fmt(sv)}" for gv, dv, sv in res.samples))
     elif fmt == "csv":
         _print_csv([k for k, _ in values] + ["chain", "notes"],
-                   [[_fmt(v) for _, v in values] + [" | ".join(res.chain), "; ".join(notes)]])
+                   [[_fmt(v) for _, v in values]
+                    + [" | ".join(res.chain), "; ".join(res.notes)]])
     else:
         samples = [{"g": gv, "derived": _fmt(dv), "stated": _fmt(sv)}
                    for gv, dv, sv in res.samples]
-        _print_jsonl([dict(values, chain=res.chain, notes=notes, samples=samples)])
+        _print_jsonl([dict(values, chain=res.chain, notes=res.notes, samples=samples)])
     return EXIT_OK
 
 
@@ -376,10 +354,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if g_max - g_min + 1 > MAX_SWEEP_GENERA:
         raise ScenarioError(f"sweep range too wide: {g_min}..{g_max} spans "
                             f"{g_max - g_min + 1} genera, at most {MAX_SWEEP_GENERA}")
-    spec, _ = _scenario_from_args(args, "g_min")  # rows tag out-of-range themselves
+    spec = _scenario_from_args(args, "g_min")
     n = spec.n
-    genera = [g for g in range(g_min, g_max + 1)
-              if spec.genus_problem(enforce_floor=False, g=g) is None]
+    genus_notes(n, g_min, args.allow_out_of_range)  # rows tag out-of-range themselves
+    genera = [g for g in range(g_min, g_max + 1) if spec.genus_problem(g) is None]
     if not genera:
         raise ScenarioError(f"empty sweep range: no admissible g in {g_min}..{g_max}")
 
@@ -388,7 +366,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     res = derived_slope_bound(spec.replace(g=genera[0]), allow_out_of_range=True)
     rows = [[g, res.derived_bound(g), res.stated_bound(g), res.discrepancy(g),
              harris_stankova_reference(n, g), res.strict,
-             "" if g >= GENUS_FLOOR[n] else "out-of-range"] for g in genera]
+             "out-of-range" if genus_notes(n, g, True) else ""] for g in genera]
 
     columns = ["g", "derived", "stated", "discrepancy", "reference", "strict", "tag"]
     _emit_rows(args.format or "table", columns, rows)
@@ -396,7 +374,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    spec, notes = _scenario_from_args(args)
+    spec = _scenario_from_args(args)
     grid = args.c1sq_grid if args.c1sq_grid is not None else DEFAULT_GRID
     rep = blowup_bound_report(spec, grid, allow_out_of_range=args.allow_out_of_range)
     columns = ["c1sq", "c2_bound", "kf2", "chif", "slope", "verdict"]
@@ -413,12 +391,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     fmt = args.format or "table"
     if fmt == "table":
-        _print_kv(_labelled(fields) + [("note", note) for note in notes])
+        _print_kv(_labelled(fields) + [("note", note) for note in rep.notes])
         _print_block("chain", rep.chain)
         print()
     elif fmt == "jsonl":
         _print_jsonl([{"record": "meta", **{k: v for k, _, v, _ in fields},
-                       "chain": rep.chain, "notes": notes}])
+                       "chain": rep.chain, "notes": rep.notes}])
     _emit_rows(fmt, columns, rows, record="row")
     return EXIT_OK
 

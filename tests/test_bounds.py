@@ -101,7 +101,7 @@ def test_scenario_refuses_non_int_genus_and_gamma(name):
         NON_INT_SCENARIOS[name]()
 
 
-def _splitting_genus_problem(spec, g, enforce_floor):
+def _splitting_genus_problem(spec, g):
     """genus_problem as it read through the Fraction-valued _splitting."""
     try:
         check_genus(g)
@@ -112,8 +112,6 @@ def _splitting_genus_problem(spec, g, enforce_floor):
     split = _splitting(spec, g)
     if split and not split[2] and split[0].denominator != 1:
         return f"{spec.case} needs {'even' if g % 2 else 'odd'} g, got {g}"
-    if enforce_floor and g < GENUS_FLOOR[spec.n]:
-        return f"genus {g} below floor {GENUS_FLOOR[spec.n]} for degree {spec.n}"
     if split:
         # the integral type rounds a floor on alpha up
         alpha = math.ceil(split[0])
@@ -127,13 +125,30 @@ def _splitting_genus_problem(spec, g, enforce_floor):
 
 @pytest.mark.parametrize("case", CASES)
 def test_integer_parity_matches_splitting_oracle(case):
+    """genus_problem against the oracle; validate then adds the floor, and only the floor."""
     gammas = range(1, 5) if case == "factorizing" else (None,)
-    for n, gamma, enforce_floor in product(_MARONI[case], gammas, (False, True)):
+    for n, gamma in product(_MARONI[case], gammas):
         spec = ScenarioSpec(n, 1, case, gamma)
+        floor = GENUS_FLOOR[n]
         for g in range(1, 301):
-            expected = _splitting_genus_problem(spec, g, enforce_floor)
-            assert spec.genus_problem(enforce_floor, g=g) == expected
-            assert spec.replace(g=g).genus_problem(enforce_floor) == expected
+            expected = _splitting_genus_problem(spec, g)
+            assert spec.genus_problem(g) == expected
+            at_g = spec.replace(g=g)
+            assert at_g.genus_problem() == expected
+            if expected is not None:
+                for enforce_genus in (True, False):
+                    with pytest.raises(ScenarioError) as err:
+                        at_g.validate(enforce_genus)
+                    assert str(err.value) == expected
+            elif g >= floor:
+                assert at_g.validate() == at_g.validate(enforce_genus=False) == []
+            else:
+                with pytest.raises(ScenarioError) as err:
+                    at_g.validate()
+                assert str(err.value) == (f"genus {g} below floor {floor} for degree {n}; "
+                                          "pass --allow-out-of-range to compute anyway")
+                assert at_g.validate(enforce_genus=False) == [
+                    f"out-of-range: genus {g} below floor {floor}"]
 
 
 def test_scenario_form_checked_at_construction():
@@ -162,9 +177,9 @@ def test_genus_below_one_refused_by_the_library(name):
 
 
 def test_genus_below_one_reported_first():
-    assert (ScenarioSpec(4, -1, "factorizing", gamma=1).genus_problem(enforce_floor=False)
+    assert (ScenarioSpec(4, -1, "factorizing", gamma=1).genus_problem()
             == "genus must be positive, got -1")
-    assert ScenarioSpec(3, 1, "general_odd").genus_problem(enforce_floor=False) is None
+    assert ScenarioSpec(3, 1, "general_odd").genus_problem() is None
 
 
 def test_scenario_floor_relaxable():
@@ -208,8 +223,9 @@ IMPOSSIBLE_SPLITTINGS = [
 def test_impossible_splitting_refused_by_every_entry(spec, message):
     """The floor is the only rule that allow_out_of_range relaxes."""
     pattern = f"^{re.escape(message)}$"
-    assert spec.genus_problem(enforce_floor=False) == message
-    entries = [lambda: splitting_for_scenario(spec),
+    assert spec.genus_problem() == message
+    entries = [spec.validate,  # the splitting rule comes before the floor
+               lambda: splitting_for_scenario(spec),
                lambda: c2_bounds_blowup(spec, 14),
                lambda: stated_closed_form(spec),
                lambda: derived_slope_bound(spec, allow_out_of_range=True),
@@ -217,6 +233,24 @@ def test_impossible_splitting_refused_by_every_entry(spec, message):
     for entry in entries:
         with pytest.raises(ScenarioError, match=pattern):
             entry()
+
+
+#: the floor refusal of the library, in the words the CLI prints
+FLOOR_REFUSAL = (r"^genus 4 below floor 5 for degree 3; "
+                 r"pass --allow-out-of-range to compute anyway$")
+
+
+def test_library_results_carry_the_floor_note():
+    spec = ScenarioSpec(3, 4, "general_even")
+    note = "out-of-range: genus 4 below floor 5"
+    assert derived_slope_bound(spec, allow_out_of_range=True).notes[0] == note
+    assert derived_slope_bound(spec.replace(g=6)).notes == ()
+    report = blowup_bound_report(spec.replace(t=1), [14], allow_out_of_range=True)
+    assert report.notes == (note,)
+    assert blowup_bound_report(spec.replace(g=6, t=1), [14]).notes == ()
+    for entry in (derived_slope_bound, lambda sp: blowup_bound_report(sp.replace(t=1), [14])):
+        with pytest.raises(ScenarioError, match=FLOOR_REFUSAL):
+            entry(spec)
 
 
 @pytest.mark.parametrize("spec", [ScenarioSpec(3, 11, "general_odd"),
@@ -475,7 +509,7 @@ def _blowup_scenarios():
 
 @pytest.mark.parametrize("spec,grid", list(_blowup_scenarios()), ids=lambda x: str(x)[:60])
 def test_blowup_report_matches_per_point_route(spec, grid):
-    assert spec.genus_problem(enforce_floor=False) is None
+    assert spec.genus_problem() is None
     baseline = derived_slope_bound(spec.replace(s=0, t=0), True).derived_bound(spec.g)
     rows = []
     for c1sq in sorted(set(grid)):

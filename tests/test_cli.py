@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import gonalslope
-from gonalslope import bounds, cli, verify
+from gonalslope import bounds, cli, grr, verify
 from gonalslope.bounds import ScenarioSpec, c2_bounds_blowup, derived_slope_bound
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -418,17 +418,50 @@ def test_sweep_fourgonal_nonfactorizing_g9_row(capsys):
     assert rows[1][6] == "" and rows[2][6] == ""
 
 
-@pytest.mark.parametrize("n,case,g_min", [("3", "general-odd", 4), ("4", "general-even", 9)])
-def test_sweep_below_floor_uses_the_genus_gate(n, case, g_min, capsys):
-    """sweep refuses a range below the floor with the words of slope, bound and report."""
+def _floor_error(n, g) -> str:
+    return (f"error: genus {g} below floor {grr.GENUS_FLOOR[int(n)]} for degree {n}; "
+            "pass --allow-out-of-range to compute anyway\n")
+
+
+@pytest.mark.parametrize("n,case,g_min,g", [("3", "general-odd", 4, 3),
+                                            ("4", "general-even", 9, 8)],
+                         ids=["3-general-odd-4", "4-general-even-9"])
+def test_sweep_below_floor_uses_the_genus_gate(n, case, g_min, g, capsys):
+    """sweep refuses a range below the floor with the words of slope, bound and report.
+
+    The sweep skips genera its case refuses, so it meets the floor at any g_min;
+    bound meets it at a genus of the case's parity."""
     code, out, err = run_cli(["sweep", "--n", n, "--case", case, "--g-min", str(g_min),
                               "--g-max", "20"], capsys)
-    assert (code, out) == (1, "")
-    floor = cli.GENUS_FLOOR[int(n)]
-    assert err == (f"error: genus {g_min} below floor {floor} for degree {n}; "
-                   "pass --allow-out-of-range to compute anyway\n")
-    _, _, bound_err = run_cli(["bound", "--n", n, "--case", case, "--g", str(g_min)], capsys)
-    assert bound_err == err
+    assert (code, out, err) == (1, "", _floor_error(n, g_min))
+    code, out, err = run_cli(["bound", "--n", n, "--case", case, "--g", str(g)], capsys)
+    assert (code, out, err) == (1, "", _floor_error(n, g))
+
+
+@pytest.mark.parametrize("allow", [[], ["--allow-out-of-range"]], ids=["floor", "allow"])
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--n", "3", "--g", "4", "--case", "general-odd"], "general_odd needs odd g, got 4"),
+    (["bound", "--n", "4", "--g", "3", "--case", "general-odd"],
+     "degree-4 splitting needs alpha >= 4, got 3"),
+    (["bound", "--n", "4", "--g", "9", "--case", "general-even"],
+     "general_even needs even g, got 9"),
+    (["report", "--n", "4", "--g", "8", "--case", "factorizing", "--gamma", "1", "--t", "1"],
+     "factorizing needs gamma < (g-3)/6: gamma=1, g=8"),
+], ids=["parity-3", "alpha-4", "parity-4", "gamma"])
+def test_case_rules_come_before_the_floor(argv, message, allow, capsys):
+    """A genus no flag rescues gets its case rule, not a hint to pass the flag."""
+    code, out, err = run_cli(argv + allow, capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,g", [
+    (["slope", "--n", "3", "--g", "4", "--c1sq", "14", "--c2", "3"], 4),
+    (["report", "--n", "4", "--g", "9", "--case", "general-odd", "--t", "1"], 9),
+], ids=["slope", "report"])
+def test_floor_only_refusal_names_the_flag(argv, g, capsys):
+    """slope and report refuse a genus below the floor, and only there, as sweep and bound do."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", _floor_error(argv[2], g))
 
 
 def test_sweep_empty_range_exits_1(capsys):
@@ -527,7 +560,7 @@ def test_sweep_strict_matches_per_genus_c2_bound(n, case, gamma, capsys):
     assert code == 0
     rows = [json.loads(ln) for ln in out.splitlines()]
     specs = [ScenarioSpec(n, g, case, gamma) for g in range(3, 121)]
-    admissible = [sp for sp in specs if sp.genus_problem(enforce_floor=False) is None]
+    admissible = [sp for sp in specs if sp.genus_problem() is None]
     assert [r["g"] for r in rows] == [sp.g for sp in admissible]
     for r, sp in zip(rows, admissible):
         assert r["strict"] is c2_bounds_blowup(sp, 0).strict, sp

@@ -7,12 +7,14 @@ even where the import would happen to resolve.
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import gonalslope
+from gonalslope.bounds import ScenarioSpec
 
 PACKAGE = Path(gonalslope.__file__).resolve().parent
 LAYERS = ("ratcalc", "chow", "chern", "grr", "slope", "bounds", "verify", "cli")
@@ -107,31 +109,57 @@ def _names_ratfunc(node: ast.expr) -> bool:
     return isinstance(node, ast.Name) and node.id == "RatFunc"
 
 
-def _ratfunc_type_tests(tree: ast.Module):
-    """The qualified name of the function around each RatFunc type test in tree."""
+def _is_ratfunc_type_test(node: ast.AST) -> bool:
+    """node is an isinstance or issubclass call, or a comparison, that names RatFunc."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id in ("isinstance", "issubclass"):
+        return any(map(_names_ratfunc, node.args[1:]))
+    return isinstance(node, ast.Compare) \
+        and any(isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn, ast.Eq, ast.NotEq))
+                for op in node.ops) \
+        and any(map(_names_ratfunc, [node.left, *node.comparators]))
+
+
+def _scopes(module: str, hit) -> set[tuple[str, str]]:
+    """(module, qualified name of the function around it) for each node hit accepts."""
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in ("isinstance", "issubclass") \
-                and any(map(_names_ratfunc, node.args[1:])):
-            yield scope
-        if isinstance(node, ast.Compare) \
-                and any(isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn, ast.Eq, ast.NotEq))
-                        for op in node.ops) \
-                and any(map(_names_ratfunc, [node.left, *node.comparators])):
-            yield scope
+        if hit(node):
+            yield module, scope
         for child in ast.iter_child_nodes(node):
             yield from visit(child, scope)
-    return visit(tree, "")
+    return set(visit(_tree(module), ""))
 
 
 def test_only_ratcalc_tells_a_number_from_a_function_of_g():
     """Outside ratcalc a RatFunc type test only picks a representation; equality
     also shows that the search finds the three that do."""
-    found = {(module, scope) for module in LAYERS[1:]
-             for scope in _ratfunc_type_tests(_tree(module))}
+    found = set().union(*(_scopes(module, _is_ratfunc_type_test) for module in LAYERS[1:]))
     assert found == RATFUNC_TYPE_TESTS
+
+
+#: (module, function) that reads a genus floor: the one gate, and verify's draw ranges
+GENUS_FLOOR_READS = {("bounds", "genus_notes"), ("verify", "check_blownup_c1_roundtrip"),
+                     ("verify", "check_exceptional_solve"),
+                     ("verify", "check_base_genus_independence")}
+
+
+def _reads_genus_floor(node: ast.AST) -> bool:
+    """node is GENUS_FLOOR[...] or x.GENUS_FLOOR[...]."""
+    return isinstance(node, ast.Subscript) and "GENUS_FLOOR" in (
+        getattr(node.value, "id", None), getattr(node.value, "attr", None))
+
+
+def test_only_genus_notes_reads_the_floor():
+    """The floor is the one rule --allow-out-of-range relaxes, stated in one gate."""
+    found = set().union(*(_scopes(module, _reads_genus_floor) for module in LAYERS))
+    assert found == GENUS_FLOOR_READS
+
+
+def test_genus_problem_has_no_floor_parameter():
+    """genus_problem states the rules no flag relaxes; the floor is genus_notes'."""
+    assert list(inspect.signature(ScenarioSpec.genus_problem).parameters) == ["self", "g"]
 
 
 @pytest.mark.parametrize("module", sorted({*LAYERS, "__init__", "__main__"}))

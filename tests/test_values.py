@@ -71,11 +71,11 @@ SAMPLES = {
     "BlowupReport": (BlowupReport(SPEC, (ROW,), BASE, Fraction(11, 3), Fraction(10, 3),
                                   Fraction(5), None, True),
                      BlowupReport(SPEC, (ROW,), BASE, const(Fraction(11, 3)), Fraction(10, 3),
-                                  5, None, True, ()),
+                                  5, None, True, (), ()),
                      f"BlowupReport(scenario={_SPEC_REPR}, rows=({_ROW_REPR},), "
                      "baseline=RatFunc[(5g - 3)/(g + 1)], baseline_at_g=Fraction(11, 3), "
                      "minimum=Fraction(10, 3), limit=Fraction(5, 1), admissible_from=None, "
-                     "strict=True, chain=())"),
+                     "strict=True, chain=(), notes=())"),
 }
 
 
