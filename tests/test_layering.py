@@ -162,6 +162,33 @@ def test_genus_problem_has_no_floor_parameter():
     assert list(inspect.signature(ScenarioSpec.genus_problem).parameters) == ["self", "g"]
 
 
+def _is_seed_offset(node: ast.expr) -> bool:
+    """node is _SEED + k, k an int literal."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) \
+        and getattr(node.left, "id", None) == "_SEED" \
+        and type(getattr(node.right, "value", None)) is int
+
+
+def test_verify_builds_every_generator_from_its_own_seed():
+    """In verify every generator is _Rng(_SEED + k) inside a check, k a literal
+    no other check uses, and no call goes to the random module: one sampler,
+    and one table of independent seeds."""
+    tree = _tree("verify")
+    on_random = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and (getattr(node.func, "id", None) == "Random"
+                      or getattr(getattr(node.func, "value", None), "id", None) == "random")]
+    assert on_random == []
+    owner: dict[int, str] = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Rng":
+                assert isinstance(top, ast.FunctionDef) and not node.keywords \
+                    and len(node.args) == 1 and _is_seed_offset(node.args[0]), ast.unparse(node)
+                assert owner.setdefault(node.args[0].right.value, top.name) == top.name, \
+                    f"{top.name} reuses the seed of {owner[node.args[0].right.value]}"
+    assert owner, "verify builds no _Rng"
+
+
 @pytest.mark.parametrize("module", sorted({*LAYERS, "__init__", "__main__"}))
 def test_bool_is_the_only_zero_test(module):
     """RatFunc.__bool__ says whether a value is zero; no is_zero spells it twice."""
