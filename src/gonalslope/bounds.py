@@ -87,7 +87,9 @@ def c2e_bound_fourgonal(c1sq, c2f):
 
 def genus_notes(n: int, g: int, allow: bool) -> list[str]:
     """The floor, the one genus rule --allow-out-of-range (allow) relaxes: no notes
-    from it up; below it a refusal, or with allow a note.  check_genus comes first."""
+    from it up; below it a refusal, or with allow a note.  The degree rule
+    (check_blowups) and check_genus come first."""
+    check_blowups(n, 0, 0)
     check_genus(g)
     floor = GENUS_FLOOR[n]
     if g >= floor:
@@ -325,15 +327,7 @@ class BlowupRow(Record):
 
     def __init__(self, c1sq: Rat, c2_bound: Rat, kf2: Rat, chif: Rat, slope: Rat | None,
                  verdict: str):  # below / equal / above / inadmissible
-        # each setter by name, not _fill: Record says why
-        set_key, set_c1sq, set_c2_bound, set_kf2, set_chif, set_slope, set_verdict = self._setters
-        set_key(self, (c1sq, c2_bound, kf2, chif, slope, verdict))
-        set_c1sq(self, c1sq)
-        set_c2_bound(self, c2_bound)
-        set_kf2(self, kf2)
-        set_chif(self, chif)
-        set_slope(self, slope)
-        set_verdict(self, verdict)
+        self._fill(c1sq, c2_bound, kf2, chif, slope, verdict)
 
 
 class BlowupReport(Record):

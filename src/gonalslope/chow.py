@@ -42,9 +42,10 @@ class Record:
     holds their tuple: == within one class and hash are one tuple operation.
     __init__ writes through _setters, the slots' __set__, past __setattr__, and
     replace builds a new value through __init__, which checks it again.
-    SurfaceModel, BundleData, FibrationInvariants and BlowupRow call each setter
-    by name: through _fill, verify-suite pass_s read +4.2% and call_p50_ms +12.4%
-    (medians of 6 paired 10 s benchmark runs).
+    SurfaceModel and BundleData call each setter by name.  Put through _fill one at
+    a time (medians of 6 paired 8 s benchmark runs), SurfaceModel took verify-suite
+    call_p50_ms from 7.0 to 7.8 ms, worse in 6 of 6 pairs, and BundleData took
+    surface-invariants pass_s from 0.0793 to 0.0813 s, worse in 5 of 6.
     """
 
     __slots__ = ("_key",)

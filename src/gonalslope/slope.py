@@ -40,12 +40,7 @@ class FibrationInvariants(Record):
     __slots__ = ("kf2", "chif", "slope")
 
     def __init__(self, kf2: Rat | RatFunc, chif: Rat | RatFunc, slope: Rat | RatFunc):
-        # each setter by name, not _fill: Record says why
-        set_key, set_kf2, set_chif, set_slope = self._setters
-        set_key(self, (kf2, chif, slope))
-        set_kf2(self, kf2)
-        set_chif(self, chif)
-        set_slope(self, slope)
+        self._fill(kf2, chif, slope)
 
     def warning(self) -> str | None:
         """Flag a numeric slope outside the admissible interval (0, 12], else a negative chi_f."""

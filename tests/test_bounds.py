@@ -16,7 +16,7 @@ from gonalslope.bounds import (_MARONI, _STATED, CASES, ScenarioError, ScenarioS
                                SplittingType, _c2_chain, _splitting,
                                blowup_bound_report, c2_bounds_blowup,
                                c2e_bound_fourgonal, compare,
-                               derived_slope_bound, index_bound,
+                               derived_slope_bound, genus_notes, index_bound,
                                splitting_for_scenario, stated_closed_form,
                                weak_positivity_bound)
 from gonalslope.grr import GENUS_FLOOR
@@ -187,6 +187,13 @@ def test_scenario_floor_relaxable():
     with pytest.raises(ScenarioError):
         spec.validate()
     spec.validate(enforce_genus=False)
+
+
+@pytest.mark.parametrize("allow", [False, True])
+@pytest.mark.parametrize("n", [5, 2, True, "3", 3.0], ids=repr)
+def test_genus_notes_refuses_a_degree_other_than_3_or_4(n, allow):
+    with pytest.raises(ScenarioError, match=r"^degree must be 3 or 4, got "):
+        genus_notes(n, 10, allow)
 
 
 @pytest.mark.parametrize("spec,alpha,beta", [
@@ -404,6 +411,17 @@ def test_blowup_report_inadmissible_rows():
     assert first.slope is None
     assert first.chif < 0  # still reported exactly
     assert rep.minimum == Fraction(59, 20)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a row is admissible only if chi_f > 0, "
+                   "K_f^2 > 0 and slope <= 12; the report tests chi_f > 0 alone")
+def test_blowup_report_row_with_negative_kf2_is_inadmissible():
+    rep = blowup_bound_report(ScenarioSpec(3, 5, "general_odd", t=1), [1, 14, 20, 100])
+    first = rep.rows[0]
+    assert (first.c1sq, first.kf2) == (1, Fraction(-25, 14))  # still reported exactly
+    assert first.verdict == "inadmissible"
+    assert rep.minimum == Fraction(59, 20)
+    assert rep.admissible_from == Fraction(36, 11)  # the K_f^2 = 0 threshold
 
 
 def test_blowup_report_rows_sorted_and_deduplicated():

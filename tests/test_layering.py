@@ -15,6 +15,7 @@ import pytest
 
 import gonalslope
 from gonalslope.bounds import ScenarioSpec
+from gonalslope.chow import Record
 
 PACKAGE = Path(gonalslope.__file__).resolve().parent
 LAYERS = ("ratcalc", "chow", "chern", "grr", "slope", "bounds", "verify", "cli")
@@ -160,6 +161,28 @@ def test_only_genus_notes_reads_the_floor():
 def test_genus_problem_has_no_floor_parameter():
     """genus_problem states the rules no flag relaxes; the floor is genus_notes'."""
     assert list(inspect.signature(ScenarioSpec.genus_problem).parameters) == ["self", "g"]
+
+
+#: (module, Record subclass) whose __init__ calls each slot setter by name, not _fill
+BY_NAME_RECORDS = {("chow", "SurfaceModel"), ("chern", "BundleData")}
+
+
+def _reads_setters(node: ast.AST) -> bool:
+    """node is self._setters."""
+    return isinstance(node, ast.Attribute) and node.attr == "_setters" \
+        and getattr(node.value, "id", None) == "self"
+
+
+def test_setters_by_name_only_where_record_says_why():
+    """A by-name setter list is a fast path kept for a measured reason, which the
+    Record docstring gives for each class; every other record builds through _fill."""
+    found = {(module, scope.partition(".")[0])
+             for layer in LAYERS for module, scope in _scopes(layer, _reads_setters)
+             if scope.endswith(".__init__")}
+    assert found == BY_NAME_RECORDS
+    named = {cls.__name__ for cls in Record.__subclasses__()
+             if re.search(rf"\b{cls.__name__}\b", Record.__doc__)}
+    assert named == {name for _, name in BY_NAME_RECORDS}
 
 
 def _is_seed_offset(node: ast.expr) -> bool:
