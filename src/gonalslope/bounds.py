@@ -49,10 +49,10 @@ _STATED = {
 }
 
 
-class SplittingType(Record):
+class SplittingType(Record, fields=("alpha", "beta")):
     """Splitting degrees 0 < alpha <= beta; the order is checked where both are numbers."""
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = ()
 
     def __init__(self, alpha: Rat, beta: Rat):
         self._fill(lift(alpha), lift(beta))
@@ -100,10 +100,10 @@ def genus_notes(n: int, g: int, allow: bool) -> list[str]:
     return [f"out-of-range: genus {g} below floor {floor}"]
 
 
-class ScenarioSpec(Record):
+class ScenarioSpec(Record, fields=("n", "g", "case", "gamma", "s", "t")):
     """Cover degree, fibre genus, case tag, blow-up counts (s, t); form checked when made."""
 
-    __slots__ = ("n", "g", "case", "gamma", "s", "t")
+    __slots__ = ()
 
     def __init__(self, n: int, g: int, case: str, gamma: int | None = None,
                  s: int = 0, t: int = 0):
@@ -225,10 +225,10 @@ def _c2_chain(spec: ScenarioSpec):
     return q, corr, strict, tuple(lines), target
 
 
-class C2Bound(Record):
+class C2Bound(Record, fields=("target", "value", "coefficient", "correction", "strict")):
     """A concrete c2 lower bound value q*(c1^2 + correction) at one input."""
 
-    __slots__ = ("target", "value", "coefficient", "correction", "strict")
+    __slots__ = ()
 
     def __init__(self, target: str, value: Rat, coefficient: Rat, correction: Rat, strict: bool):
         self._fill(target, value, coefficient, correction, strict)
@@ -242,11 +242,12 @@ def c2_bounds_blowup(spec: ScenarioSpec, c1sq) -> C2Bound:
     return C2Bound(target, coeff * (lift(c1sq) + corr), coeff, corr, strict)
 
 
-class BoundResult(Record):
+class BoundResult(Record, fields=("scenario", "c2_coefficient", "correction", "strict",
+                                  "derived_bound", "stated_bound", "discrepancy", "chain",
+                                  "notes", "samples")):
     """Derived slope lower bound for a scenario, next to its stated closed form."""
 
-    __slots__ = ("scenario", "c2_coefficient", "correction", "strict", "derived_bound",
-                 "stated_bound", "discrepancy", "chain", "notes", "samples")
+    __slots__ = ()
 
     def __init__(self, scenario: ScenarioSpec, c2_coefficient: Rat, correction: Rat,
                  strict: bool, derived_bound: RatFunc, stated_bound: RatFunc | None,
@@ -322,17 +323,17 @@ def compare(spec: ScenarioSpec, allow_out_of_range: bool = False) -> BoundResult
 # -- blow-up reports: c1^2 no longer cancels, so sweep it over a grid --------
 
 
-class BlowupRow(Record):
-    __slots__ = ("c1sq", "c2_bound", "kf2", "chif", "slope", "verdict")
+class BlowupRow(Record, fields=("c1sq", "c2_bound", "kf2", "chif", "slope", "verdict")):
+    __slots__ = ()
 
     def __init__(self, c1sq: Rat, c2_bound: Rat, kf2: Rat, chif: Rat, slope: Rat | None,
                  verdict: str):  # below / equal / above / inadmissible
         self._fill(c1sq, c2_bound, kf2, chif, slope, verdict)
 
 
-class BlowupReport(Record):
-    __slots__ = ("scenario", "rows", "baseline", "baseline_at_g", "minimum", "limit",
-                 "admissible_from", "strict", "chain", "notes")
+class BlowupReport(Record, fields=("scenario", "rows", "baseline", "baseline_at_g", "minimum",
+                                   "limit", "admissible_from", "strict", "chain", "notes")):
+    __slots__ = ()
 
     def __init__(self, scenario: ScenarioSpec, rows: tuple[BlowupRow, ...], baseline: RatFunc,
                  baseline_at_g: Rat, minimum: Rat, limit: Rat, admissible_from: Rat | None,

@@ -38,24 +38,23 @@ class ModelMismatchError(ValueError):
 
 
 class Record:
-    """A frozen value whose fields are the leading names of __slots__.  Slot _key
-    holds their tuple: == within one class and hash are one tuple operation.
-    __init__ writes through _setters, the slots' __set__, past __setattr__, and
-    replace builds a new value through __init__, which checks it again.
-    SurfaceModel and BundleData call each setter by name.  Put through _fill one at
-    a time (medians of 6 paired 8 s benchmark runs), SurfaceModel took verify-suite
-    call_p50_ms from 7.0 to 7.8 ms, worse in 6 of 6 pairs, and BundleData took
-    surface-invariants pass_s from 0.0793 to 0.0813 s, worse in 5 of 6.
+    """A frozen value stored once, as the tuple _key of its fields, which a subclass
+    names as a class keyword: class SurfaceModel(Record, fields=("b", "s", "t")) with
+    __slots__ = ().  Each field is a read-only property of its _key entry; __init__
+    stores the values with _fill, one slot write, and == within one class and hash
+    are one tuple operation.  replace builds a new value through __init__, which
+    checks it again.
     """
 
     __slots__ = ("_key",)
 
-    def __init_subclass__(cls):
-        cls._setters = tuple(getattr(cls, name).__set__ for name in ("_key", *cls.__slots__))
+    def __init_subclass__(cls, fields: tuple[str, ...]):
+        cls._fields = fields
+        for i, name in enumerate(fields):
+            setattr(cls, name, property(lambda self, i=i: self._key[i]))
 
     def _fill(self, *values):
-        for set_slot, value in zip(self._setters, (values, *values)):
-            set_slot(self, value)
+        _set_key(self, values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -70,28 +69,23 @@ class Record:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key))
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._key))
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self):  # copy and pickle: the default would assign the slots
+    def __reduce__(self):  # copy and pickle: the default would assign the slot
         return type(self), self._key
 
     def replace(self, **changes):
-        return type(self)(**dict(zip(self.__slots__, self._key), **changes))
+        return type(self)(**dict(zip(self._fields, self._key), **changes))
 
 
-class SurfaceModel(Record):
+class SurfaceModel(Record, fields=("b", "s", "t")):
     """Ruled surface over a genus-b curve with s + t marked blow-ups."""
 
-    __slots__ = ("b", "s", "t")
+    __slots__ = ()
 
     def __init__(self, b: int = 0, s: int = 0, t: int = 0):
-        # each setter by name, not _fill: Record says why
-        set_key, set_b, set_s, set_t = self._setters
-        set_key(self, (b, s, t))
-        set_b(self, b)
-        set_s(self, s)
-        set_t(self, t)
+        self._fill(b, s, t)
         if not type(b) is type(s) is type(t) is int:
             raise TypeError(f"model data must be ints: {self}")
         if b < 0 or s < 0 or t < 0:
@@ -224,7 +218,8 @@ def _new(model: SurfaceModel, c: tuple, den: int | None, out=None) -> NumClass:
 
 
 # the slot descriptors write past the refusing __setattr__
-_set_model, _set_c, _set_den = NumClass.model.__set__, NumClass._c.__set__, NumClass._den.__set__
+_set_key, _set_model, _set_c, _set_den = (Record._key.__set__, NumClass.model.__set__,
+                                          NumClass._c.__set__, NumClass._den.__set__)
 
 
 def intersect(a: NumClass, b: NumClass) -> Rat | RatFunc:

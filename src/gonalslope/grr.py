@@ -32,8 +32,8 @@ def check_blowups(n: int, s: int, t: int) -> None:
     suit a degree-n cover: n is the int 3 or 4, s and t are ints >= 0 (not
     bools), and degree 3 has s = 0."""
     if type(n) is not int or n not in GENUS_FLOOR:
-        raise ScenarioError(f"degree must be 3 or 4, got {n}")
-    if not all(type(c) is int and c >= 0 for c in (s, t)):
+        raise ScenarioError(f"degree must be 3 or 4, got {n!r}")
+    if type(s) is not int or type(t) is not int or s < 0 or t < 0:
         raise ScenarioError(f"blow-up counts must be nonnegative integers, got s={s!r}, t={t!r}")
     if n == 3 and s:
         raise ScenarioError("degree 3 admits no total-ramification blow-ups")

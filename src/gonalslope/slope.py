@@ -34,10 +34,10 @@ def _ratio(kf2, chif):
     return kf2 / chif
 
 
-class FibrationInvariants(Record):
+class FibrationInvariants(Record, fields=("kf2", "chif", "slope")):
     """K_f^2, chi_f and their quotient; entries are Rat or RatFunc."""
 
-    __slots__ = ("kf2", "chif", "slope")
+    __slots__ = ()
 
     def __init__(self, kf2: Rat | RatFunc, chif: Rat | RatFunc, slope: Rat | RatFunc):
         self._fill(kf2, chif, slope)
@@ -52,10 +52,10 @@ class FibrationInvariants(Record):
         return None
 
 
-class ModuliData(Record):
+class ModuliData(Record, fields=("s_b", "delta_b", "lambda_b")):
     """Divisor-class coordinates: s_B = 12 - slope, delta.B, lambda.B = chi_f."""
 
-    __slots__ = ("s_b", "delta_b", "lambda_b")
+    __slots__ = ()
 
     def __init__(self, s_b: Rat | RatFunc, delta_b: Rat | RatFunc, lambda_b: Rat | RatFunc):
         self._fill(s_b, delta_b, lambda_b)

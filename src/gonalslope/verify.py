@@ -483,8 +483,11 @@ def run(out=print) -> list[str]:
     """Run every check; report one line each; return the failing names.
 
     Any exception counts as a failure: a crashed identity check is no
-    better than a refuted one.
+    better than a refuted one.  The checks are asserts, which python -O
+    strips, so there the suite runs nothing and reports that as its failure.
     """
+    if not __debug__:
+        return ["python -O (or PYTHONOPTIMIZE) strips the checks' asserts; run without it"]
     failures = []
     for name, fn in CHECKS:
         try:

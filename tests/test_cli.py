@@ -843,6 +843,17 @@ def test_verify_run_reports_a_raising_check(monkeypatch):
     assert lines == ["ok   stub ok", "FAIL stub identity: AssertionError: identity refuted"]
 
 
+@pytest.mark.parametrize("flags, optimize", [(["-O"], {}), ([], {"PYTHONOPTIMIZE": "1"})],
+                         ids=["-O", "PYTHONOPTIMIZE"])
+def test_verify_refuses_to_run_without_asserts(flags, optimize, child_env):
+    """python -O strips the suite's asserts, so a pass there would prove nothing."""
+    proc = subprocess.run([sys.executable, *flags, "-m", "gonalslope", "verify"],
+                          env={**child_env, **optimize}, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("verification failed: python -O (or PYTHONOPTIMIZE) "
+                           "strips the checks' asserts; run without it\n")
+
+
 def test_internal_check_failure_exits_4(capsys, monkeypatch):
     def broken(spec, **kwargs):
         raise AssertionError("c1^2 failed to cancel: constant terms (1,)")

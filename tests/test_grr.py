@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -178,7 +179,7 @@ DEGREE_ENTRIES = {
 @pytest.mark.parametrize("entry", DEGREE_ENTRIES)
 def test_degree_gated_as_an_int(entry, bad):
     DEGREE_ENTRIES[entry](4)  # the int degree is fine
-    with pytest.raises(ScenarioError, match=f"degree must be 3 or 4, got {bad}"):
+    with pytest.raises(ScenarioError, match=f"degree must be 3 or 4, got {re.escape(repr(bad))}"):
         DEGREE_ENTRIES[entry](bad)
 
 

@@ -163,26 +163,23 @@ def test_genus_problem_has_no_floor_parameter():
     assert list(inspect.signature(ScenarioSpec.genus_problem).parameters) == ["self", "g"]
 
 
-#: (module, Record subclass) whose __init__ calls each slot setter by name, not _fill
-BY_NAME_RECORDS = {("chow", "SurfaceModel"), ("chern", "BundleData")}
+def _calls_self_fill(node: ast.AST) -> bool:
+    """node is a call of self._fill."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr == "_fill" and getattr(node.func.value, "id", None) == "self"
 
 
-def _reads_setters(node: ast.AST) -> bool:
-    """node is self._setters."""
-    return isinstance(node, ast.Attribute) and node.attr == "_setters" \
-        and getattr(node.value, "id", None) == "self"
-
-
-def test_setters_by_name_only_where_record_says_why():
-    """A by-name setter list is a fast path kept for a measured reason, which the
-    Record docstring gives for each class; every other record builds through _fill."""
-    found = {(module, scope.partition(".")[0])
-             for layer in LAYERS for module, scope in _scopes(layer, _reads_setters)
-             if scope.endswith(".__init__")}
-    assert found == BY_NAME_RECORDS
-    named = {cls.__name__ for cls in Record.__subclasses__()
-             if re.search(rf"\b{cls.__name__}\b", Record.__doc__)}
-    assert named == {name for _, name in BY_NAME_RECORDS}
+def test_every_record_builds_through_fill():
+    """A record's values live in _key alone: each Record subclass stores them with
+    self._fill in its own __init__, and only chow names _key."""
+    built = {scope.partition(".")[0] for module in LAYERS
+             for _, scope in _scopes(module, _calls_self_fill) if scope.endswith(".__init__")}
+    assert built == {cls.__name__ for cls in Record.__subclasses__()}
+    for module in LAYERS:
+        if module != "chow":
+            names = {getattr(node, field, None) for node in ast.walk(_tree(module))
+                     for field in ("attr", "id")}
+            assert not names & {"_key", "_setters"}, module
 
 
 def _is_seed_offset(node: ast.expr) -> bool:

@@ -31,6 +31,23 @@ def test_cli_import_leaves_verify_json_csv_and_dataclasses_unloaded(child_env):
     assert not loaded & {"gonalslope.verify", "json", "csv", "dataclasses"}
 
 
+_TOP_LEVEL_LOADED = """
+import sys
+before = set(sys.modules)
+import gonalslope, gonalslope.cli, gonalslope.verify
+print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_the_package_imports_only_the_standard_library(child_env):
+    """No third-party module loads, even where one is installed alongside."""
+    proc = subprocess.run([sys.executable, "-c", _TOP_LEVEL_LOADED], env=child_env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "gonalslope" in loaded
+    assert loaded - {"gonalslope"} <= sys.stdlib_module_names
+
+
 def test_unknown_cli_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         cli.no_such_name

@@ -18,7 +18,7 @@ import pytest
 from gonalslope.bounds import (BlowupReport, BlowupRow, BoundResult, C2Bound, ScenarioError,
                                ScenarioSpec, SplittingType)
 from gonalslope.chern import BundleData, ChernCharacter
-from gonalslope.chow import ModelMismatchError, NumClass, SurfaceModel
+from gonalslope.chow import ModelMismatchError, NumClass, Record, SurfaceModel
 from gonalslope.ratcalc import G, RatFunc
 from gonalslope.slope import FibrationInvariants, ModuliData
 
@@ -133,6 +133,14 @@ def test_assignment_refused(name):
 def test_copy_and_pickle_round_trip(sample):
     for again in (copy.copy(sample), copy.deepcopy(sample), pickle.loads(pickle.dumps(sample))):
         assert again == sample and hash(again) == hash(sample) and repr(again) == repr(sample)
+
+
+def test_no_record_has_an_instance_dict():
+    """A subclass that leaves out __slots__ = () would give its instances a __dict__."""
+    records = {cls.__name__ for cls in Record.__subclasses__()}
+    assert records <= set(SAMPLES)
+    for name in records:
+        assert not hasattr(SAMPLES[name][0], "__dict__"), name
 
 
 #: (construction, exception type, exact message)
