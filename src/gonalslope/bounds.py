@@ -85,16 +85,16 @@ def c2e_bound_fourgonal(c1sq, c2f):
     return (lift(c1sq) + lift(c2f)) / 4
 
 
-def genus_notes(n: int, g: int, allow: bool) -> list[str]:
-    """The floor, the one genus rule --allow-out-of-range (allow) relaxes: no notes
-    from it up; below it a refusal, or with allow a note.  The degree rule
+def genus_notes(n: int, g: int, allow_out_of_range: bool) -> list[str]:
+    """The floor, the one genus rule --allow-out-of-range relaxes: no notes from it
+    up; below it a refusal, or with allow_out_of_range a note.  The degree rule
     (check_blowups) and check_genus come first."""
     check_blowups(n, 0, 0)
     check_genus(g)
     floor = GENUS_FLOOR[n]
     if g >= floor:
         return []
-    if not allow:
+    if not allow_out_of_range:
         raise ScenarioError(f"genus {g} below floor {floor} for degree {n}; "
                             "pass --allow-out-of-range to compute anyway")
     return [f"out-of-range: genus {g} below floor {floor}"]
@@ -125,12 +125,12 @@ class ScenarioSpec(Record, fields=("n", "g", "case", "gamma", "s", "t")):
         elif gamma is not None:
             raise ScenarioError(f"gamma is only meaningful for factorizing, got {case!r}")
 
-    def validate(self, enforce_genus: bool = True) -> list[str]:
+    def validate(self, *, allow_out_of_range: bool = False) -> list[str]:
         """Raise ScenarioError unless g suits the spec, floor last; return the floor notes."""
         problem = self.genus_problem()
         if problem:
             raise ScenarioError(problem)
-        return genus_notes(self.n, self.g, allow=not enforce_genus)
+        return genus_notes(self.n, self.g, allow_out_of_range)
 
     def genus_problem(self, g: int | None = None) -> str | None:
         """Why genus g (by default the spec's own) breaks a rule no flag relaxes, or None."""
@@ -167,7 +167,7 @@ def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
     floor; the bound coefficient keeps the exact rational floor.  A type
     that cannot exist is refused by spec.validate at any genus.
     """
-    spec.validate(enforce_genus=False)
+    spec.validate(allow_out_of_range=True)
     if _MARONI[spec.case][spec.n] is None:
         return None
     alpha = spec._integral_alpha(spec.g)
@@ -230,13 +230,10 @@ class C2Bound(Record, fields=("target", "value", "coefficient", "correction", "s
 
     __slots__ = ()
 
-    def __init__(self, target: str, value: Rat, coefficient: Rat, correction: Rat, strict: bool):
-        self._fill(target, value, coefficient, correction, strict)
-
 
 def c2_bounds_blowup(spec: ScenarioSpec, c1sq) -> C2Bound:
     """Evaluate the case's c2 lower bound at a concrete c1^2."""
-    spec.validate(enforce_genus=False)
+    spec.validate(allow_out_of_range=True)
     q, corr, strict, _, target = _c2_chain(spec)
     coeff = q(spec.g)
     return C2Bound(target, coeff * (lift(c1sq) + corr), coeff, corr, strict)
@@ -249,18 +246,10 @@ class BoundResult(Record, fields=("scenario", "c2_coefficient", "correction", "s
 
     __slots__ = ()
 
-    def __init__(self, scenario: ScenarioSpec, c2_coefficient: Rat, correction: Rat,
-                 strict: bool, derived_bound: RatFunc, stated_bound: RatFunc | None,
-                 discrepancy: RatFunc | None, chain: tuple[str, ...] = (),
-                 notes: tuple[str, ...] = (),
-                 samples: tuple[tuple[int, Rat, Rat | None], ...] = ()):
-        self._fill(scenario, c2_coefficient, correction, strict, derived_bound, stated_bound,
-                   discrepancy, chain, notes, samples)
-
 
 def stated_closed_form(spec: ScenarioSpec) -> RatFunc:
     """The claimed closed form for the scenario's bound, transcribed verbatim."""
-    spec.validate(enforce_genus=False)
+    spec.validate(allow_out_of_range=True)
     return _STATED[spec.case][spec.n](spec.gamma)
 
 
@@ -296,7 +285,7 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
     Blow-up scenarios do not cancel c1^2 and belong to blowup_bound_report
     instead.
     """
-    notes = spec.validate(enforce_genus=not allow_out_of_range)
+    notes = spec.validate(allow_out_of_range=allow_out_of_range)
     if spec.s or spec.t:
         raise ScenarioError("c1^2 does not cancel once s or t is positive; "
                             "use blowup_bound_report")
@@ -309,7 +298,7 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
     if strict:
         notes.append("derived bound is strict (unbalanced splitting)")
     return BoundResult(spec, q(spec.g), corr, strict, derived,
-                       stated, disc, chain, tuple(notes))
+                       stated, disc, chain, tuple(notes), ())
 
 
 def compare(spec: ScenarioSpec, allow_out_of_range: bool = False) -> BoundResult:
@@ -324,22 +313,14 @@ def compare(spec: ScenarioSpec, allow_out_of_range: bool = False) -> BoundResult
 
 
 class BlowupRow(Record, fields=("c1sq", "c2_bound", "kf2", "chif", "slope", "verdict")):
-    __slots__ = ()
+    """One grid point; the verdict is below, equal, above or inadmissible."""
 
-    def __init__(self, c1sq: Rat, c2_bound: Rat, kf2: Rat, chif: Rat, slope: Rat | None,
-                 verdict: str):  # below / equal / above / inadmissible
-        self._fill(c1sq, c2_bound, kf2, chif, slope, verdict)
+    __slots__ = ()
 
 
 class BlowupReport(Record, fields=("scenario", "rows", "baseline", "baseline_at_g", "minimum",
                                    "limit", "admissible_from", "strict", "chain", "notes")):
     __slots__ = ()
-
-    def __init__(self, scenario: ScenarioSpec, rows: tuple[BlowupRow, ...], baseline: RatFunc,
-                 baseline_at_g: Rat, minimum: Rat, limit: Rat, admissible_from: Rat | None,
-                 strict: bool, chain: tuple[str, ...] = (), notes: tuple[str, ...] = ()):
-        self._fill(scenario, rows, baseline, baseline_at_g, minimum, limit, admissible_from,
-                   strict, chain, notes)
 
 
 def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
@@ -360,7 +341,7 @@ def blowup_bound_report(spec: ScenarioSpec, c1sq_grid,
     about 5% slower on the benchmark's blowup-grid workload.
     """
     base_spec = spec.replace(s=0, t=0)
-    notes = base_spec.validate(not allow_out_of_range)  # genus rules read neither s nor t
+    notes = base_spec.validate(allow_out_of_range=allow_out_of_range)  # reads neither s nor t
     q, corr, strict, chain, _ = _c2_chain(spec)
     baseline = _derived(base_spec, q)
     baseline_at_g = baseline(spec.g)

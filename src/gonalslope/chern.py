@@ -84,9 +84,6 @@ class ChernCharacter(Record, fields=("rank", "d1", "d2")):
 
     __slots__ = ()
 
-    def __init__(self, rank: Rat, d1: NumClass, d2: Rat | RatFunc):
-        self._fill(rank, d1, d2)
-
     def __add__(self, other: ChernCharacter) -> ChernCharacter:
         return ChernCharacter(self.rank + other.rank, self.d1 + other.d1,
                               self.d2 + other.d2)

@@ -39,11 +39,12 @@ class ModelMismatchError(ValueError):
 
 class Record:
     """A frozen value stored once, as the tuple _key of its fields, which a subclass
-    names as a class keyword: class SurfaceModel(Record, fields=("b", "s", "t")) with
-    __slots__ = ().  Each field is a read-only property of its _key entry; __init__
-    stores the values with _fill, one slot write, and == within one class and hash
-    are one tuple operation.  replace builds a new value through __init__, which
-    checks it again.
+    names as a class keyword: class ModuliData(Record, fields=("s_b", "delta_b",
+    "lambda_b")) with __slots__ = ().  Each field is a read-only property of its _key
+    entry.  __init__ takes the values positionally, in field order; a subclass that
+    checks them defines its own and stores them with _fill.  Either store is one slot
+    write; == within one class and hash are one tuple operation.  replace rebuilds
+    the value positionally through __init__, which checks it again.
     """
 
     __slots__ = ("_key",)
@@ -52,6 +53,12 @@ class Record:
         cls._fields = fields
         for i, name in enumerate(fields):
             setattr(cls, name, property(lambda self, i=i: self._key[i]))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, "
+                            f"got {len(values)}")
+        _set_key(self, values)
 
     def _fill(self, *values):
         _set_key(self, values)
@@ -76,7 +83,10 @@ class Record:
         return type(self), self._key
 
     def replace(self, **changes):
-        return type(self)(**dict(zip(self._fields, self._key), **changes))
+        values = [changes.pop(k, v) for k, v in zip(self._fields, self._key)]
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {next(iter(changes))!r}")
+        return type(self)(*values)
 
 
 class SurfaceModel(Record, fields=("b", "s", "t")):

@@ -148,7 +148,7 @@ def load_scenario_file(path: str) -> dict[str, tuple]:
     where the subcommand has no use for its key.
     """
     data: dict[str, tuple] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .chern import BundleData
 from .chow import Record, SurfaceModel, canonical_class, intersect
 from .grr import c1_decomposition, check_blowups, chi_total_space
-from .ratcalc import G, Rat, RatFunc, concrete, lift
+from .ratcalc import G, RatFunc, concrete, lift
 
 
 #: input types of the integer route: as_integer_ratio() gives (numerator, denominator)
@@ -39,9 +39,6 @@ class FibrationInvariants(Record, fields=("kf2", "chif", "slope")):
 
     __slots__ = ()
 
-    def __init__(self, kf2: Rat | RatFunc, chif: Rat | RatFunc, slope: Rat | RatFunc):
-        self._fill(kf2, chif, slope)
-
     def warning(self) -> str | None:
         """Flag a numeric slope outside the admissible interval (0, 12], else a negative chi_f."""
         slope, chif = concrete(self.slope), concrete(self.chif)
@@ -56,9 +53,6 @@ class ModuliData(Record, fields=("s_b", "delta_b", "lambda_b")):
     """Divisor-class coordinates: s_B = 12 - slope, delta.B, lambda.B = chi_f."""
 
     __slots__ = ()
-
-    def __init__(self, s_b: Rat | RatFunc, delta_b: Rat | RatFunc, lambda_b: Rat | RatFunc):
-        self._fill(s_b, delta_b, lambda_b)
 
 
 def moduli_conversion(inv: FibrationInvariants) -> ModuliData:

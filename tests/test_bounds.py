@@ -90,7 +90,7 @@ NON_INT_SCENARIOS = {
     "gamma=True": lambda: derived_slope_bound(ScenarioSpec(4, 20, "factorizing", gamma=True)),
     "g=Fraction(11)": lambda: derived_slope_bound(ScenarioSpec(3, Fraction(11),
                                                                "general_odd")),
-    "g=True": lambda: ScenarioSpec(3, True, "general_odd").validate(enforce_genus=False),
+    "g=True": lambda: ScenarioSpec(3, True, "general_odd").validate(allow_out_of_range=True),
     "g=11.0": lambda: ScenarioSpec(3, 11.0, "general_odd"),
 }
 
@@ -136,18 +136,18 @@ def test_integer_parity_matches_splitting_oracle(case):
             at_g = spec.replace(g=g)
             assert at_g.genus_problem() == expected
             if expected is not None:
-                for enforce_genus in (True, False):
+                for allow in (False, True):
                     with pytest.raises(ScenarioError) as err:
-                        at_g.validate(enforce_genus)
+                        at_g.validate(allow_out_of_range=allow)
                     assert str(err.value) == expected
             elif g >= floor:
-                assert at_g.validate() == at_g.validate(enforce_genus=False) == []
+                assert at_g.validate() == at_g.validate(allow_out_of_range=True) == []
             else:
                 with pytest.raises(ScenarioError) as err:
                     at_g.validate()
                 assert str(err.value) == (f"genus {g} below floor {floor} for degree {n}; "
                                           "pass --allow-out-of-range to compute anyway")
-                assert at_g.validate(enforce_genus=False) == [
+                assert at_g.validate(allow_out_of_range=True) == [
                     f"out-of-range: genus {g} below floor {floor}"]
 
 
@@ -186,7 +186,12 @@ def test_scenario_floor_relaxable():
     spec = ScenarioSpec(4, 9, "nonfactorizing")
     with pytest.raises(ScenarioError):
         spec.validate()
-    spec.validate(enforce_genus=False)
+    spec.validate(allow_out_of_range=True)
+
+
+def test_validate_takes_the_floor_knob_by_keyword_only():
+    with pytest.raises(TypeError, match="positional argument"):
+        ScenarioSpec(4, 9, "nonfactorizing").validate(True)
 
 
 @pytest.mark.parametrize("allow", [False, True])

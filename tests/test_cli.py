@@ -692,6 +692,18 @@ def test_scenario_file_rejects_bad_content(tmp_path, capsys, content, fragment):
     assert fragment in err
 
 
+def test_scenario_file_with_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 file saved with a byte-order mark reads as the same file without one."""
+    text = "degree=3\ngenus=5\ncase=general-odd\n"
+    runs = []
+    for name, data in (("plain.ini", text.encode()), ("bom.ini", text.encode("utf-8-sig"))):
+        (tmp_path / name).write_bytes(data)
+        code, out, err = run_cli(["bound", "--scenario", str(tmp_path / name)], capsys)
+        runs.append((code, out))
+    assert data.startswith(b"\xef\xbb\xbf")
+    assert runs[0] == runs[1] and runs[0][0] == 0, err
+
+
 def test_scenario_file_missing(capsys):
     code, _, err = run_cli(["bound", "--scenario", "/nonexistent/sc.txt"], capsys)
     assert code == 1

@@ -59,7 +59,8 @@ SAMPLES = {
                 C2Bound("c2(E)", const(Fraction(7, 2)), Fraction(1, 4), 0, True),
                 "C2Bound(target='c2(E)', value=Fraction(7, 2), coefficient=Fraction(1, 4), "
                 "correction=Fraction(0, 1), strict=True)"),
-    "BoundResult": (BoundResult(SPEC, Fraction(1, 4), Fraction(0), True, BASE, None, None, ("a",)),
+    "BoundResult": (BoundResult(SPEC, Fraction(1, 4), Fraction(0), True, BASE, None, None, ("a",),
+                                (), ()),
                     BoundResult(SPEC, const(Fraction(1, 4)), 0, True, BASE, None, None, ("a",),
                                 (), ()),
                     f"BoundResult(scenario={_SPEC_REPR}, c2_coefficient=Fraction(1, 4), "
@@ -69,7 +70,7 @@ SAMPLES = {
     "BlowupRow": (ROW, BlowupRow(14, Fraction(7, 2), 5, Fraction(3, 2), const(Fraction(10, 3)),
                                  "above"), _ROW_REPR),
     "BlowupReport": (BlowupReport(SPEC, (ROW,), BASE, Fraction(11, 3), Fraction(10, 3),
-                                  Fraction(5), None, True),
+                                  Fraction(5), None, True, (), ()),
                      BlowupReport(SPEC, (ROW,), BASE, const(Fraction(11, 3)), Fraction(10, 3),
                                   5, None, True, (), ()),
                      f"BlowupReport(scenario={_SPEC_REPR}, rows=({_ROW_REPR},), "
@@ -185,3 +186,83 @@ def test_construction_refusals(make, error, message):
     with pytest.raises(error) as info:
         make()
     assert type(info.value) is error and str(info.value) == message
+
+
+#: class name -> a new value for each field of its sample, in field order
+SWAPS = {
+    "SurfaceModel": (2, 3, 1),
+    "BundleData": (3, C + C, Fraction(5, 2)),
+    "ChernCharacter": (Fraction(3), C + C, Fraction(3, 2)),
+    "FibrationInvariants": (5, 2, Fraction(5, 2)),
+    "ModuliData": (Fraction(19, 2), 20, 2),
+    "SplittingType": (4, 6),
+    "ScenarioSpec": (4, 7, "general_even", 1, 1, 1),
+    "C2Bound": ("c2(F)", Fraction(9, 2), Fraction(1, 3), Fraction(1), False),
+    "BoundResult": (SPEC.replace(g=7), Fraction(1, 3), Fraction(1), False, BASE + 1, BASE,
+                    const(1), ("b",), ("n",), ((5, Fraction(11, 3), None),)),
+    "BlowupRow": (Fraction(20), Fraction(5), Fraction(7), Fraction(2), None, "inadmissible"),
+    "BlowupReport": (SPEC.replace(t=1), (), BASE + 1, Fraction(4), Fraction(3), Fraction(6),
+                     Fraction(36, 11), False, ("c",), ("n",)),
+}
+
+
+def _outcome(make):
+    """("made", value), or the type and message of what making it raised."""
+    try:
+        return "made", make()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_swaps_cover_every_record():
+    assert set(SWAPS) == {cls.__name__ for cls in Record.__subclasses__()}
+
+
+@pytest.mark.parametrize("name", SWAPS)
+def test_replace_is_the_positional_construction(name):
+    """replace(field=v) makes, or refuses, exactly what the class given the sample's
+    values with v in that field's place does."""
+    sample, _, _ = SAMPLES[name]
+    cls, fields = type(sample), type(sample)._fields
+    values = [getattr(sample, field) for field in fields]
+    assert len(SWAPS[name]) == len(fields)
+    for i, (field, new) in enumerate(zip(fields, SWAPS[name])):
+        assert new != values[i], field
+        outcome = _outcome(lambda: sample.replace(**{field: new}))
+        assert outcome == _outcome(lambda: cls(*values[:i], new, *values[i + 1:])), field
+        if outcome[0] == "made":
+            assert getattr(outcome[1], field) == new and outcome[1] != sample, field
+    assert sample.replace() == sample
+
+
+@pytest.mark.parametrize("name", SWAPS)
+def test_replace_refuses_an_unknown_field(name):
+    sample, _, _ = SAMPLES[name]
+    with pytest.raises(TypeError) as info:
+        sample.replace(bogus=1)
+    assert str(info.value) == f"{name} has no field 'bogus'"
+
+
+def test_replace_checks_again():
+    with pytest.raises(ValueError, match=r"^negative model data: SurfaceModel\(b=1, s=-1, t=0\)$"):
+        SurfaceModel(1).replace(s=-1)
+    with pytest.raises(ScenarioError, match=r"^unknown case 'mystery'"):
+        SPEC.replace(case="mystery")
+
+
+#: the records Record.__init__ builds, with their field counts
+PASS_THROUGH = {"ChernCharacter": 3, "FibrationInvariants": 3, "ModuliData": 3, "C2Bound": 5,
+                "BoundResult": 10, "BlowupRow": 6, "BlowupReport": 10}
+
+
+@pytest.mark.parametrize("name", PASS_THROUGH)
+def test_record_counts_its_values(name):
+    sample, _, _ = SAMPLES[name]
+    cls, count = type(sample), PASS_THROUGH[name]
+    assert "__init__" not in vars(cls) and len(cls._fields) == count
+    values = [getattr(sample, field) for field in cls._fields]
+    for given in (values[:-1], [*values, None]):
+        with pytest.raises(TypeError) as info:
+            cls(*given)
+        assert str(info.value) == f"{name} takes {count} values, got {len(given)}"
+    assert cls(*values) == sample
