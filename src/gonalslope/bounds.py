@@ -288,7 +288,7 @@ def derived_slope_bound(spec: ScenarioSpec, allow_out_of_range: bool = False) ->
     notes = spec.validate(allow_out_of_range=allow_out_of_range)
     if spec.s or spec.t:
         raise ScenarioError("c1^2 does not cancel once s or t is positive; "
-                            "use blowup_bound_report")
+                            "use blowup_bound_report, or the report subcommand")
     q, corr, strict, chain, _ = _c2_chain(spec)
     derived = _derived(spec, q)
     stated = _STATED[spec.case][spec.n](spec.gamma)  # spec validated above

@@ -199,58 +199,64 @@ def _require(args: argparse.Namespace, attr: str):
     return val
 
 
-# -- output writers ----------------------------------------------------------
+# -- output ------------------------------------------------------------------
+
+#: csv cell of a list-valued block, by key: its items joined; csv leaves out a
+#: block not named here (samples), and jsonl alone carries it
+_CSV_JOIN = {"chain": " | ", "notes": "; "}
 
 
-def _print_kv(pairs: list[tuple[str, str]]) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        print(f"{key.ljust(width)} = {value}")
+def _emit(fmt: str | None, fields=(), blocks=(), columns=(), rows=()) -> None:
+    """Print a command's output in fmt, table when None: a meta record, and rows.
 
-
-def _labelled(fields) -> list[tuple[str, str]]:
-    """Table pairs from a command's fields: (key, table label, value, with decimal)."""
-    return [(label, f"{_fmt(v)} (~ {_approx(v)})" if approx else _fmt(v))
-            for _, label, v, approx in fields]
-
-
-def _print_block(title: str, lines) -> None:
-    print(f"{title}:")
-    for line in lines:
-        print(f"  {line}")
-
-
-def _print_table(columns: list[str], rows: list[list[str]]) -> None:
-    widths = [max(len(col), max((len(r[i]) for r in rows), default=0))
-              for i, col in enumerate(columns)]
-    print("  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
-def _print_csv(columns: list[str], rows: list[list[str]]) -> None:
-    import csv
-
-    out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(columns)
-    out.writerows(rows)
-
-
-def _print_jsonl(records) -> None:
-    import json
-
-    for rec in records:
-        print(json.dumps(rec, sort_keys=True, default=str))
-
-
-def _emit_rows(fmt: str, columns: list[str], rows: list[list], **fixed) -> None:
-    """One line per row; a jsonl record also carries the fixed fields."""
+    fields are (key, label, value, approx) and blocks (key, title, items,
+    lines).  The table prints each field that has a label, as `label = value`
+    with the decimal where approx is set, then the lines of each titled block
+    that has any, then the rows, after a blank line if a meta record came
+    first.  csv and jsonl carry the fields and blocks that have a key.  csv
+    prints the rows, or the meta record when there are none; jsonl tags each
+    record `meta` or `row` when it prints both.
+    """
+    meta = {key: v for key, _, v, _ in fields if key}
     if fmt == "csv":
-        _print_csv(columns, [[_fmt(c) for c in row] for row in rows])
+        import csv
+
+        if not rows:
+            meta.update((key, _CSV_JOIN[key].join(items))
+                        for key, _, items, _ in blocks if key in _CSV_JOIN)
+            columns, rows = list(meta), [meta.values()]
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([_fmt(c) for c in row] for row in rows)
     elif fmt == "jsonl":
-        _print_jsonl({**fixed, **dict(zip(columns, row))} for row in rows)
+        import json
+
+        meta.update((key, items) for key, _, items, _ in blocks)
+        records = [dict(zip(columns, row)) for row in rows]
+        if meta and records:
+            meta["record"] = "meta"
+            for rec in records:
+                rec["record"] = "row"
+        for rec in [meta, *records] if meta else records:
+            print(json.dumps(rec, sort_keys=True, default=str))
     else:
-        _print_table(columns, [[_fmt(c) for c in row] for row in rows])
+        pairs = [(label, f"{_fmt(v)} (~ {_approx(v)})" if approx else _fmt(v))
+                 for _, label, v, approx in fields if label]
+        width = max((len(label) for label, _ in pairs), default=0)
+        for label, text in pairs:
+            print(f"{label.ljust(width)} = {text}")
+        for _, title, _, lines in blocks:
+            if title and lines:
+                print(f"{title}:")
+                for line in lines:
+                    print(f"  {line}")
+        if columns:
+            if pairs:
+                print()
+            cells = [[_fmt(c) for c in row] for row in rows]
+            widths = [max(map(len, column)) for column in zip(columns, *cells)]
+            for row in [columns, *cells]:
+                print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 # -- subcommands -------------------------------------------------------------
@@ -278,17 +284,13 @@ def cmd_slope(args: argparse.Namespace) -> int:
     warn = inv.warning()
     if warn:
         notes.append(warn)
-    fields = [("kf2", inv.kf2), ("chif", inv.chif), ("slope", inv.slope),
+    values = [("kf2", inv.kf2), ("chif", inv.chif), ("slope", inv.slope),
               ("s_B", md.s_b), ("delta_B", md.delta_b)]
-
-    fmt = args.format or "table"
-    if fmt == "table":
-        _print_kv(_labelled((k, k, v, True) for k, v in fields)
-                  + [("note", line) for line in notes])
-    else:
-        columns = [k for k, _ in fields] + [f"{k}_approx" for k, _ in fields] + ["notes"]
-        values = [v for _, v in fields] + [_approx(v) for _, v in fields]
-        _emit_rows(fmt, columns, [values + [notes if fmt == "jsonl" else "; ".join(notes)]])
+    _emit(args.format,
+          [(k, k, v, True) for k, v in values]
+          + [(f"{k}_approx", None, _approx(v), False) for k, v in values]
+          + [(None, "note", line, False) for line in notes],
+          [("notes", None, notes, ())])
     return EXIT_OK
 
 
@@ -316,6 +318,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     g = spec.g
     ref = harris_stankova_reference(spec.n, g)
     fields = [
+        (None, "scenario", _scenario_text(spec), False),
+        *((k, None, v, False) for k, v in _scenario_fields(spec)),
         ("derived", "derived bound", res.derived_bound, False),
         ("derived_at_g", f"derived at g={g}", res.derived_bound(g), True),
         ("stated", "stated bound", res.stated_bound, False),
@@ -327,23 +331,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
         ("correction", "correction", res.correction, False),
         ("reference_at_g", f"reference F_{spec.n}({g})", ref, True),
     ]
-    values = _scenario_fields(spec) + [(k, v) for k, _, v, _ in fields]
-    fmt = args.format or "table"
-    if fmt == "table":
-        _print_kv([("scenario", _scenario_text(spec))] + _labelled(fields))
-        _print_block("chain", res.chain)
-        if res.notes:
-            _print_block("notes", res.notes)
-        _print_block("samples (g derived stated)",
-                     (f"{gv}  {_fmt(dv)}  {_fmt(sv)}" for gv, dv, sv in res.samples))
-    elif fmt == "csv":
-        _print_csv([k for k, _ in values] + ["chain", "notes"],
-                   [[_fmt(v) for _, v in values]
-                    + [" | ".join(res.chain), "; ".join(res.notes)]])
-    else:
-        samples = [{"g": gv, "derived": _fmt(dv), "stated": _fmt(sv)}
-                   for gv, dv, sv in res.samples]
-        _print_jsonl([dict(values, chain=res.chain, notes=res.notes, samples=samples)])
+    samples = [(gv, _fmt(dv), _fmt(sv)) for gv, dv, sv in res.samples]
+    _emit(args.format, fields, [
+        ("chain", "chain", res.chain, res.chain),
+        ("notes", "notes", res.notes, res.notes),
+        ("samples", "samples (g derived stated)",
+         [{"g": gv, "derived": dv, "stated": sv} for gv, dv, sv in samples],
+         [f"{gv}  {dv}  {sv}" for gv, dv, sv in samples]),
+    ])
     return EXIT_OK
 
 
@@ -368,8 +363,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
              harris_stankova_reference(n, g), res.strict,
              "out-of-range" if genus_notes(n, g, True) else ""] for g in genera]
 
-    columns = ["g", "derived", "stated", "discrepancy", "reference", "strict", "tag"]
-    _emit_rows(args.format or "table", columns, rows)
+    _emit(args.format, columns=["g", "derived", "stated", "discrepancy", "reference",
+                                "strict", "tag"], rows=rows)
     return EXIT_OK
 
 
@@ -377,8 +372,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     spec = _scenario_from_args(args)
     grid = args.c1sq_grid if args.c1sq_grid is not None else DEFAULT_GRID
     rep = blowup_bound_report(spec, grid, allow_out_of_range=args.allow_out_of_range)
-    columns = ["c1sq", "c2_bound", "kf2", "chif", "slope", "verdict"]
-    rows = [[r.c1sq, r.c2_bound, r.kf2, r.chif, r.slope, r.verdict] for r in rep.rows]
     fields = [
         ("scenario", "scenario", _scenario_text(spec, "s", "t"), False),
         ("baseline", "baseline (s=t=0)", rep.baseline, False),
@@ -387,17 +380,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         ("limit", "limit c1sq -> oo", rep.limit, False),
         ("admissible_from", "admissible for c1sq >", rep.admissible_from, False),
         ("strict", "strict", rep.strict, False),
+        *((None, "note", note, False) for note in rep.notes),
     ]
-
-    fmt = args.format or "table"
-    if fmt == "table":
-        _print_kv(_labelled(fields) + [("note", note) for note in rep.notes])
-        _print_block("chain", rep.chain)
-        print()
-    elif fmt == "jsonl":
-        _print_jsonl([{"record": "meta", **{k: v for k, _, v, _ in fields},
-                       "chain": rep.chain, "notes": rep.notes}])
-    _emit_rows(fmt, columns, rows, record="row")
+    # csv prints the rows alone, without this meta record
+    _emit(args.format, fields,
+          [("chain", "chain", rep.chain, rep.chain), ("notes", None, rep.notes, ())],
+          ["c1sq", "c2_bound", "kf2", "chif", "slope", "verdict"],
+          [[r.c1sq, r.c2_bound, r.kf2, r.chif, r.slope, r.verdict] for r in rep.rows])
     return EXIT_OK
 
 

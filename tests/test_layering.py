@@ -227,3 +227,21 @@ def test_bool_is_the_only_zero_test(module):
     names = {getattr(node, field, None) for node in ast.walk(_tree(module))
              for field in ("attr", "name", "id")}
     assert "is_zero" not in names
+
+
+def _renders(node: ast.AST) -> bool:
+    """node compares the output format (fmt, an args.format or a format name), or
+    imports csv or json."""
+    if isinstance(node, ast.Compare):
+        return any(isinstance(op, ast.Name) and op.id == "fmt"
+                   or isinstance(op, ast.Attribute) and op.attr == "format"
+                   or isinstance(op, ast.Constant) and op.value in ("table", "csv", "jsonl")
+                   for op in [node.left, *node.comparators])
+    if isinstance(node, ast.Import):
+        return any(alias.name in ("csv", "json") for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.module in ("csv", "json")
+
+
+def test_one_writer_renders_every_format():
+    """cli._emit states every output rule; no subcommand branches on --format."""
+    assert _scopes("cli", _renders) == {("cli", "_emit")}
