@@ -28,7 +28,7 @@ class BundleData(Record, fields=("rank", "c1", "c2")):
             raise TypeError(f"rank must be an int, not {rank!r}")
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
-        if rank == 1 and c2 != 0:
+        if rank == 1 and c2:
             raise ValueError("a line bundle has c2 = 0")
 
     @property

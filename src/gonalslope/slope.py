@@ -4,11 +4,11 @@ All formulas work uniformly over exact rationals and over RatFunc, so a
 genus can be left symbolic.  K_f^2 and chi_f are written once, in _parts,
 with one division each: in integers at a concrete genus, lifted for a
 Q(g) derivation (_parts says why it keeps both routes).
-fourgonal_rearranged is one body of ring operations on (numerator,
-denominator) pairs and one division.  A concrete genus must be positive
-(check_genus).  The degree-3 and degree-4 blow-up parts only supply R^2,
-and the s = t = 0 entry points delegate to the blow-up ones.  The slope is
-their quotient, with a zero chi_f reported as an explicit error.
+fourgonal_rearranged is ring operations on (numerator, denominator) pairs;
+_ratio forms every slope and is the one place chi_f = 0 is an error.  A
+concrete genus must be positive (check_genus), and so must the fibre
+degree g+n-1 (grr._fibre_degree).  The degree-3 and degree-4 blow-up parts
+only supply R^2, and the s = t = 0 entry points delegate to the blow-up ones.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .chern import BundleData
 from .chow import Record, SurfaceModel, canonical_class, intersect
-from .grr import c1_decomposition, check_blowups, chi_total_space
-from .ratcalc import G, RatFunc, concrete, lift
+from .grr import _fibre_degree, c1_decomposition, check_blowups, chi_total_space
+from .ratcalc import G, concrete, lift
 
 
 #: input types of the integer route: as_integer_ratio() gives (numerator, denominator)
@@ -29,7 +29,7 @@ class ZeroChiError(ZeroDivisionError):
 
 
 def _ratio(kf2, chif):
-    if chif == 0:
+    if not chif:
         raise ZeroChiError("chi_f = 0")
     return kf2 / chif
 
@@ -80,16 +80,15 @@ def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
     if s or t:
         check_blowups(n, s, t)
     check_genus(g)
+    d = _fibre_degree(g, n)
     if type(g) is type(n) is type(s) is type(t) is int \
             and {*map(type, (c1sq, c2, rsq))} <= _EXACT:
         (a, A), (b, B), (r, R) = (x.as_integer_ratio() for x in (c1sq, c2, rsq))
-        d = g + n - 1
         blowups = (3 * g * s + 2 * (g + n - 3) * t) * A
         return (Fraction(r * A * d - 4 * a * R, R * A * d),
                 Fraction(((g + n - 2) * a + blowups) * B - 2 * d * A * b, 2 * d * A * B))
     c1sq, c2, rsq = lift(c1sq), lift(c2), lift(rsq)
     g, n, s, t = (x if type(x) is int else lift(x) for x in (g, n, s, t))
-    d = g + n - 1
     blowups = 3 * g * s + 2 * (g + n - 3) * t if s or t else 0
     return rsq - 4 * c1sq / d, ((g + n - 2) * c1sq + blowups) / (2 * d) - c2
 
@@ -139,7 +138,7 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
     direct route is used for bounds.  c1^2 = a/A and c2F = f/F are
     (numerator, denominator) pairs, (lift(x), 1) unless x is an int or
     Fraction; the excess times 4(g+3)AF is num/den in ring operations, on
-    ints and RatFuncs alike, and the one division comes last.
+    ints and RatFuncs alike, and the one division, in _ratio, comes last.
     """
     check_blowups(4, s, t)
     check_genus(g)
@@ -148,9 +147,7 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
                       for x in (c1sq, c2f))
     num = 4 * (g + 3) * A * f - 8 * a * F
     den = (g + 1) * a * F - (g + 3) * A * f + (6 * g * s + 4 * (g + 1) * t) * A * F
-    if den == 0:
-        raise ZeroChiError("chi_f = 0")
-    return 4 + num / den if type(den) is RatFunc else Fraction(4 * den + num, den)
+    return _ratio(lift(4 * den + num), den)
 
 
 def trigonal_blowup_parts(g, c1sq, c2, t):

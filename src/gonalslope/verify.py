@@ -313,7 +313,7 @@ def check_fourgonal_rearranged_blowup_gap():
         c2f = _rat(rng, 0, 20)
         c2e = bounds.c2e_bound_fourgonal(c1sq, c2f)
         kf2, chif = slope.fourgonal_blowup_parts(g, c1sq, c2e, c2f, s, t)
-        if chif == 0:
+        if not chif:
             continue
         extra = Fraction(3 * g, 2 * (g + 3)) * s + Fraction(g + 1, g + 3) * t
         direct = kf2 / chif

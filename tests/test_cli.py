@@ -1,6 +1,7 @@
 """Command-line surface: flags, scenario files, formats, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
 import ast
 import csv
 import importlib.metadata
@@ -15,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import gonalslope
@@ -822,15 +823,24 @@ _rats = st.builds(Fraction, st.integers(-40, 80), st.integers(1, 6))
 
 
 @st.composite
-def admissible_runs(draw):
-    """argv of slope, bound, sweep and report at one admissible scenario, floors relaxed."""
+def admissible_scenarios(draw):
+    """(spec, s, t, flags) of an admissible scenario from FAMILIES: the spec at
+    s = t = 0, and the flags naming its family with the floor relaxed."""
     n, case = draw(st.sampled_from(FAMILIES))
     gamma = draw(st.integers(1, 3)) if case == "factorizing" else None
-    g = draw(st.integers(3, 40))
-    assume(ScenarioSpec(n, g, case.replace("-", "_"), gamma).genus_problem() is None)
+    spec = ScenarioSpec(n, draw(st.integers(3, 40)), case.replace("-", "_"), gamma)
+    assume(spec.genus_problem() is None)
     family = ["--n", str(n), "--case", case] + (["--gamma", str(gamma)] if gamma else [])
     family.append("--allow-out-of-range")
     s, t = draw(st.integers(0, 2)) if n == 4 else 0, draw(st.integers(0, 2))
+    return spec, s, t, family
+
+
+@st.composite
+def admissible_runs(draw):
+    """argv of slope, bound, sweep and report at one admissible scenario, floors relaxed."""
+    spec, s, t, family = draw(admissible_scenarios())
+    n, g = spec.n, spec.g
     c2 = ["--c2"] if n == 3 else ["--c2e", "--c2f"]
     # 1000 keeps chi_f > 0 somewhere on the grid, as a report needs
     grid = ",".join(map(str, draw(st.lists(_rats, max_size=3)) + [1000]))
@@ -852,6 +862,224 @@ def test_formats_agree_on_drawn_scenarios(capsys, runs):
     assume(run_cli(runs[0], capsys)[0] != cli.EXIT_DEGENERATE)  # chi_f = 0: slope prints nothing
     for argv in runs:
         _check_formats_agree(argv, capsys)
+
+
+# -- the subcommands agree --------------------------------------------------------
+
+
+def _jsonl(argv: list[str], capsys) -> list[dict]:
+    code, out, err = run_cli(argv + ["--format", "jsonl"], capsys)
+    assert code == 0, err
+    return [json.loads(line) for line in out.splitlines()]
+
+
+#: sweep column -> the bound field it repeats at the sweep's genus
+SWEEP_AT_G = {"derived": "derived_at_g", "stated": "stated_at_g",
+              "discrepancy": "discrepancy_at_g", "reference": "reference_at_g",
+              "strict": "strict"}
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(admissible_scenarios(), st.lists(_rats, max_size=4))
+def test_subcommands_agree_on_drawn_scenarios(capsys, scenario, grid):
+    """bound, sweep, report and slope state one value per scenario alike."""
+    spec, s, t, family = scenario
+    g = spec.g
+    bound = _jsonl(["bound", *family, "--g", str(g)], capsys)[0]
+    sweep = {row["g"]: row for row in
+             _jsonl(["sweep", *family, "--g-min", str(g), "--g-max", str(g + 200)], capsys)}
+    assert {col: sweep[g][col] for col in SWEEP_AT_G} == \
+        {col: bound[key] for col, key in SWEEP_AT_G.items()}
+    for sample in bound["samples"][1:]:  # at g+2, g+20 and g+200
+        if sample["g"] in sweep:
+            row = sweep[sample["g"]]
+            assert (row["derived"], row["stated"]) == (sample["derived"], sample["stated"])
+        else:
+            assert spec.genus_problem(sample["g"]) is not None
+
+    meta, *rows = _jsonl(["report", *family, "--g", str(g), "--s", str(s), "--t", str(t),
+                          f"--c1sq-grid={','.join(map(str, grid + [1000]))}"], capsys)
+    assert meta["limit"] == meta["baseline_at_g"]
+    for row in rows:
+        if row["verdict"] == "inadmissible":
+            continue
+        c1sq, c2 = Fraction(row["c1sq"]), Fraction(row["c2_bound"])
+        chern = [f"--c2={c2}"] if spec.n == 3 else [f"--c2e={(c1sq + c2) / 4}", f"--c2f={c2}"]
+        [inv] = _jsonl(["slope", "--n", str(spec.n), "--g", str(g), "--allow-out-of-range",
+                        f"--c1sq={c1sq}", *chern, "--s", str(s), "--t", str(t)], capsys)
+        assert (inv["kf2"], inv["chif"], inv["slope"]) == (row["kf2"], row["chif"], row["slope"])
+
+
+# -- no input ends in a traceback --------------------------------------------------
+
+
+def _subcommands() -> dict[str, list[argparse.Action]]:
+    """Subcommand -> its options but --help and --scenario, from build_parser()."""
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a for a in sp._actions if a.option_strings and a.dest not in ("help", "scenario")]
+            for name, sp in sub.choices.items()}
+
+
+SUBCOMMANDS = _subcommands()
+#: option dest -> its action, in any subcommand
+ACTIONS = {action.dest: action for options in SUBCOMMANDS.values() for action in options}
+_FLOORS = sorted({f + d for f in grr.GENUS_FLOOR.values() for d in (-1, 0, 1)})
+#: malformed and boundary values, and grids of at most 64 points
+_ODD_VALUES = st.one_of(
+    st.sampled_from([str(v) for v in (0, -1, 10**18, -10**18, *_FLOORS)]),
+    st.builds("{}/{}".format, st.integers(-40, 80), st.integers(0, 6)),
+    st.sampled_from(["", " ", "abc", "1.5", "1e3", "-", "1..2", "x" * 81, "9" * 100,
+                     "1/" + "7" * 90, "general-odd", "jsonl"]),
+    st.lists(st.sampled_from(["1", "7/3", "-1/2", "0", str(10**18), "", "2/0"]),
+             min_size=1, max_size=64).map(",".join),
+    st.text(max_size=90),
+)
+#: arguments no subcommand takes, or an option left without its value
+_JUNK = ["--bogus", "extra", "--n", "--format"]
+
+
+def _valid(action: argparse.Action) -> st.SearchStrategy[str]:
+    """Values the option accepts: its choices, small ints, rationals or a short grid."""
+    if action.choices:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.sampled_from(["3", "4"]) | st.integers(0, 60).map(str)
+    if action.metavar == "RAT":
+        return _rats.map(str)
+    return st.lists(_rats.map(str), min_size=1, max_size=4).map(",".join)
+
+
+def _value(draw, action: argparse.Action) -> str:
+    """A value the option accepts, or a malformed or boundary one."""
+    return draw(_valid(action) | _ODD_VALUES)
+
+
+def _span(draw, lo: int) -> int:
+    """The end of a sweep from lo: at most 200 genera on, or one past MAX_SWEEP_GENERA."""
+    return lo + draw(st.integers(0, 200) | st.just(cli.MAX_SWEEP_GENERA))
+
+
+def _groups(argv: list[str]) -> list[list[str]]:
+    """An option list as one group per option: `--x=v`, `--x v` or a bare `--x`."""
+    groups = []
+    for arg in argv:
+        if arg.startswith("--") or not groups:
+            groups.append([arg])
+        else:
+            groups[-1].append(arg)
+    return groups
+
+
+@st.composite
+def _mutated_runs(draw) -> list[str]:
+    """A valid slope, bound, sweep or report run, with an option dropped now and then,
+    up to two of the subcommand's options given again after it (the last one wins),
+    a sweep's end moved half the time, and now and then an argument it does not take."""
+    command, *args = draw(st.sampled_from(draw(admissible_runs())))
+    argv = [command, *(arg for group in _groups(args) if draw(st.integers(0, 15))
+                       for arg in group)]
+    for _ in range(draw(st.integers(0, 2))):
+        action = draw(st.sampled_from(SUBCOMMANDS[command]))
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        value = _value(draw, action)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if command == "sweep" and draw(st.booleans()):
+        argv += ["--g-max", str(_span(draw, int(args[args.index("--g-min") + 1])))]
+    return argv + ([] if draw(st.integers(0, 7)) else [draw(st.sampled_from(_JUNK))])
+
+
+#: option dest -> the scenario-file key that sets it: the key that fills it alone,
+#: or for g `genus`, which fills a sweep's bounds too
+_KEY_OF = {dests[0]: key for key, (dests, _) in cli._FILE_KEYS.items() if len(dests) == 1} \
+    | {"g": "genus"}
+
+
+def _file_line(draw, key: str) -> str:
+    """key=value: a value the key's first option accepts, or a malformed or boundary
+    one; a genus range mostly spans what _span draws."""
+    if key == "genus-range" and draw(st.integers(0, 3)):
+        lo = draw(st.integers(0, 60))
+        return f"{key}={lo}..{_span(draw, lo)}"
+    return f"{key}={_value(draw, ACTIONS[cli._FILE_KEYS[key][0][0]])}"
+
+
+@st.composite
+def _scenario_runs(draw) -> tuple[list[str], list[str]]:
+    """(argv, scenario-file lines): a valid run with some options moved to the keys
+    of _FILE_KEYS that fill them, then up to two lines of any key redrawn or added,
+    and a malformed line now and then."""
+    command, *args = draw(st.sampled_from(draw(admissible_runs())))
+    groups, lines = _groups(args), []
+    if command == "sweep" and draw(st.booleans()):
+        bounds = {group[0]: group[1] for group in groups if group[0] in ("--g-min", "--g-max")}
+        groups = [group for group in groups if group[0] not in bounds]
+        lines.append(f"genus-range={bounds['--g-min']}..{bounds['--g-max']}")
+    argv = [command]
+    for group in groups:
+        flag, _, value = group[0].partition("=")
+        dest = flag[2:].replace("-", "_")
+        if dest in _KEY_OF and draw(st.booleans()):
+            lines.append(f"{_KEY_OF[dest]}={group[-1] if len(group) > 1 else value}")
+        else:
+            argv += group
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(list(cli._FILE_KEYS)))
+        if draw(st.booleans()):  # redrawn; else a second line of the key, refused
+            lines = [line for line in lines if not line.startswith(f"{key}=")]
+        lines.append(_file_line(draw, key))
+    if not draw(st.integers(0, 7)):
+        lines.append(draw(st.sampled_from(["", "# note", "genus", "unknown=1", "=", " = 3"])))
+    return argv, draw(st.permutations(lines))
+
+
+def _check_no_traceback(argv: list[str], capsys) -> None:
+    code, out, err = run_cli(argv, capsys)
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_DEGENERATE), (argv, err)
+    assert "Traceback" not in out + err
+    if code:
+        lines = err.splitlines()
+        assert "error: " in lines[-1] and sum("error:" in line for line in lines) == 1, (argv, err)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_runs())
+# the extremes, whatever the draws reach: a span one past the widest, a genus, a
+# blow-up count and 64 grid points of 10^18, and values of 90 and 100 characters
+@example(["sweep", "--n", "3", "--case", "general-odd", "--g-min", "5",
+          "--g-max", str(5 + cli.MAX_SWEEP_GENERA)])
+@example(["bound", "--n", "4", "--case", "factorizing", "--gamma", "3", "--g", str(10**18)])
+@example(["report", "--n", "4", "--g", "12", "--case", "general-even", "--s", str(10**18),
+          "--t", "1", "--c1sq-grid=" + ",".join([str(10**18)] + [f"{k}/7" for k in range(63)])])
+@example(["slope", "--n", "3", "--g", "9" * 100, "--c1sq", "1/" + "7" * 90, "--c2", "3"])
+@example(["slope", "--n", "3", "--g", "5", "--c1sq", "14", "--c2", "x" * 100])
+def test_no_drawn_argv_ends_in_a_traceback(capsys, argv):
+    """Valid, malformed and boundary values of every subcommand's options exit 0, 1
+    or 3; an error is the last line of stderr, and the only one."""
+    _check_no_traceback(argv, capsys)
+
+
+@pytest.mark.parametrize("junk", _JUNK)
+def test_verify_with_an_argument_is_a_usage_error(junk, capsys):
+    """verify takes no options; run without any it is the whole suite (golden test)."""
+    _check_no_traceback(["verify", junk], capsys)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_scenario_runs())
+def test_no_drawn_scenario_file_ends_in_a_traceback(tmp_path, capsys, run):
+    """A scenario file fills the options a run leaves out; whatever it holds, the run
+    ends as a drawn argv does."""
+    argv, lines = run
+    path = tmp_path / "scenario.txt"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    _check_no_traceback([argv[0], "--scenario", str(path), *argv[1:]], capsys)
 
 
 @pytest.mark.xfail(strict=True, reason="report csv prints its rows without the meta "

@@ -99,8 +99,7 @@ def test_package_root_imports_exactly_its_all():
 
 #: (module, function) where a RatFunc type test picks a storage or result
 #: representation; whether a value is a number is ratcalc.concrete's to say
-RATFUNC_TYPE_TESTS = {("chow", "NumClass.__init__"), ("chow", "NumClass.__rmul__"),
-                      ("slope", "fourgonal_rearranged")}
+RATFUNC_TYPE_TESTS = {("chow", "NumClass.__init__"), ("chow", "NumClass.__rmul__")}
 
 
 def _names_ratfunc(node: ast.expr) -> bool:
@@ -135,7 +134,7 @@ def _scopes(module: str, hit) -> set[tuple[str, str]]:
 
 def test_only_ratcalc_tells_a_number_from_a_function_of_g():
     """Outside ratcalc a RatFunc type test only picks a representation; equality
-    also shows that the search finds the three that do."""
+    also shows that the search finds the two that do."""
     found = set().union(*(_scopes(module, _is_ratfunc_type_test) for module in LAYERS[1:]))
     assert found == RATFUNC_TYPE_TESTS
 
@@ -227,6 +226,37 @@ def test_bool_is_the_only_zero_test(module):
     names = {getattr(node, field, None) for node in ast.walk(_tree(module))
              for field in ("attr", "name", "id")}
     assert "is_zero" not in names
+
+
+def _compares_with_zero(node: ast.AST) -> bool:
+    """node is a == or != comparison with the int literal 0 on either side."""
+    return isinstance(node, ast.Compare) \
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) \
+        and any(isinstance(side, ast.Constant) and type(side.value) is int and side.value == 0
+                for side in [node.left, *node.comparators])
+
+
+def test_zero_is_tested_by_truth_outside_ratcalc():
+    """Outside ratcalc a value is zero when it is falsy (`not x`); an `x == 0` or
+    `x != 0` states the zero test a second time.  ratcalc works on the int
+    coefficients themselves."""
+    found = set().union(*(_scopes(module, _compares_with_zero)
+                          for module in sorted({*LAYERS[1:], "__init__", "__main__"})))
+    assert found == set()
+
+
+def _raises_zero_chi(node: ast.AST) -> bool:
+    """node is `raise ZeroChiError(...)`, through a module attribute or not."""
+    exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return "ZeroChiError" in (getattr(exc, "id", None), getattr(exc, "attr", None))
+
+
+def test_only_ratio_raises_zero_chi():
+    """slope._ratio forms every slope and is the one place chi_f = 0 is refused."""
+    found = set().union(*(_scopes(module, _raises_zero_chi) for module in LAYERS))
+    assert found == {("slope", "_ratio")}
 
 
 def _renders(node: ast.AST) -> bool:

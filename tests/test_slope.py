@@ -331,6 +331,23 @@ def test_nonpositive_concrete_genus_refused(entry, g):
         entry(g)
 
 
+_DEGREE_ROUTES = {
+    "slope_general": slope_general,
+    "slope_general_via_surface": lambda *args: slope_general_via_surface(*args, 1),
+}
+
+
+@pytest.mark.parametrize("g", [5, Fraction(5)], ids=repr)
+@pytest.mark.parametrize("n", [-5, -4])
+@pytest.mark.parametrize("route", _DEGREE_ROUTES.values(), ids=_DEGREE_ROUTES)
+def test_nonpositive_fibre_degree_refused(route, n, g):
+    """Both slope routes refuse g+n-1 <= 0 with grr._fibre_degree's error; at
+    g = 5, n = -5 once gave a slope and n = -4 a bare ZeroDivisionError."""
+    message = rf"^fibre degree g\+n-1 = {g + n - 1} must be positive$"
+    with pytest.raises(ValueError, match=message):
+        route(g, n, 14, 3, 2)
+
+
 #: entry point -> (call on g and its Chern inputs, exact values of those inputs)
 _CHERN_ENTRIES = {
     "slope_general": (lambda g, *c: slope_general(g, 3, *c), (14, 3, 2)),
