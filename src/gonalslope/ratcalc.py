@@ -16,20 +16,30 @@ The common factor is found by a primitive polynomial remainder sequence
 over Z, so no arithmetic leaves the integers.  It runs only between two
 nonconstant operands.  If a/b is canonical and p/q is a nonzero constant,
 then q*a + p*b and q*b are coprime, and so are p*a, q*b and q*a, p*b; so
-+, -, * and / with an int, Fraction or constant RatFunc on either side, and
-``compose``, fix only the integer content and the denominator's sign
-(``_normal``).  For ``compose``, with p/q canonical and k = max(deg a,
-deg b): a common prime factor of q^k a(p/q) and q^k b(p/q) divides q (from
-u*a + v*b = 1), and modulo it they are a_k p^k and b_k p^k, not both 0 as
-p is prime to q.  Equality is plain structural comparison, and an
-independent check is always available by evaluating at enough sample
-points.
++, -, * and / with an int, Fraction or constant RatFunc on either side,
+``**`` and ``compose``, fix only the integer content and the denominator's
+sign (``_normal``).  For ``**``, a^k and b^k are coprime (an irreducible
+factor of both divides a and b), and jointly primitive by Gauss's lemma (a
+prime dividing every coefficient of a^k divides every coefficient of a).
+For ``compose``, with p/q canonical and k = max(deg a, deg b): a common
+prime factor of q^k a(p/q) and q^k b(p/q) divides q (from u*a + v*b = 1),
+and modulo it they are a_k p^k and b_k p^k, not both 0 as p is prime to q.
+``compose`` forms both by Kronecker substitution: each is one integer sum
+of a_i p(x)^i q(x)^(k-i) at x = 2^w, read back as signed base-2^w digits.
+With |.|_1 the sum of absolute coefficients, each coefficient of
+p^i q^(k-i) is at most max(|p|_1, |q|_1)^k, so each output coefficient is
+at most m = max(|a|_1, |b|_1) * max(|p|_1, |q|_1)^k; with w = bitlen(m) + 2,
+m < 2^(w-1), so the digits are unique and the read-back exact.  Equality
+is plain structural comparison, and an independent check is always
+available by evaluating at enough sample points.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 
 Rat = Fraction
 
@@ -140,13 +150,13 @@ def _prem(a: _Poly, b: _Poly) -> _Poly:
 
 
 def _pgcd(a: _Poly, b: _Poly) -> _Poly:
-    """The primitive gcd of two nonzero polynomials, up to sign."""
+    """The primitive gcd of two nonzero polynomials, up to sign; (1,) for a coprime pair."""
     if len(a) < len(b):
         a, b = b, a
     b = _primitive(b)
-    while b:
+    while len(b) > 1:  # a nonzero constant remainder ends it: the pair is coprime
         a, b = b, _primitive(_prem(a, b))
-    return a
+    return (1,) if b else a
 
 
 def _pexquo(a: _Poly, b: _Poly) -> _Poly:
@@ -192,13 +202,24 @@ def _operand(x):
     return None
 
 
-def _phom(a: _Poly, p: _Poly, q: _Poly, k: int) -> _Poly:
-    """q^k a(p/q) for polynomials p, q and k >= deg a: sum of a_i p^i q^(k-i)."""
-    acc, qk = (), (1,)
-    for c in reversed(a + (0,) * (k + 1 - len(a))):
-        acc = _padd(_pmul(acc, p), (*(c * x for x in qk),))
-        qk = _pmul(qk, q)
-    return acc
+def _kron_compose(a: _Poly, b: _Poly, p: _Poly, q: _Poly) -> tuple[_Poly, _Poly]:
+    """q^k a(p/q) and q^k b(p/q), k = max(deg a, deg b), by Kronecker substitution."""
+    k = max(len(a), len(b)) - 1
+    m = max(sum(map(abs, a)), sum(map(abs, b))) * max(sum(map(abs, p)), sum(map(abs, q))) ** k
+    bits = m.bit_length() + 2  # each output coefficient within m < half (module docstring)
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    x, y = (sum(c << (i * bits) for i, c in enumerate(cs)) for cs in (p, q))
+    xs, ys = ([*accumulate([z] * k, mul, initial=1)] for z in (x, y))
+    basis = [*map(mul, xs, reversed(ys))]  # p^i q^(k-i) at 2^bits
+    out = []
+    for v in (sum(map(mul, a, basis)), sum(map(mul, b, basis))):
+        cs = []
+        while v:  # signed digits in [-half, half), lowest first
+            c = ((v + half) & mask) - half
+            cs.append(c)
+            v = (v - c) >> bits
+        out.append((*cs,))
+    return out[0], out[1]
 
 
 def _peval(a: _Poly, p: int, q: int, k: int) -> int:
@@ -328,14 +349,17 @@ class RatFunc:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
+        num, den = self.num, self.den
         if k < 0:
-            if not self:
+            if not num:
                 raise ZeroDivisionError("inverse of the zero rational function")
-            return _canon(self.den, self.num) ** (-k)
-        out = RatFunc.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+            num, den, k = den, num, -k
+        n, d = (1,), (1,)
+        for bit in f"{k:b}":  # square and multiply, leading bit first
+            n, d = _pmul(n, n), _pmul(d, d)
+            if bit == "1":
+                n, d = _pmul(n, num), _pmul(d, den)
+        return _normal(n, d)  # coprime and jointly primitive (module docstring)
 
     # equality is structural; canonical form makes that sound
 
@@ -367,12 +391,10 @@ class RatFunc:
         if h is None:
             raise TypeError(f"cannot substitute {inner!r}")
         # f(p/q) = q^k num(p/q) / (q^k den(p/q)), coprime (module docstring)
-        p, q, _ = h
-        k = max(len(self.num), len(self.den)) - 1
-        d = _phom(self.den, p, q, k)
+        n, d = _kron_compose(self.num, self.den, h[0], h[1])
         if not d:
             raise ZeroDivisionError("denominator vanishes identically under substitution")
-        return _normal(_phom(self.num, p, q, k), d)
+        return _normal(n, d)
 
     def __str__(self) -> str:
         if self.is_constant():

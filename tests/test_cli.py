@@ -25,6 +25,7 @@ from gonalslope.bounds import ScenarioSpec, c2_bounds_blowup, derived_slope_boun
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
+WORKFLOW = PYPROJECT.with_name(".github") / "workflows" / "tier1.yml"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SLOPE_EXAMPLE = ["slope", "--n", "3", "--g", "5", "--c1sq", "14", "--c2", "28/9"]
 
@@ -787,8 +788,46 @@ def _table_parts(out: str, has_rows: bool):
     return pairs, blocks, rows
 
 
+#: jsonl key of each labelled table field of bound and report, by label; {n}
+#: and {g} are the run's --n and --g
+TABLE_KEYS = {
+    "bound": {"scenario": "scenario", "derived bound": "derived",
+              "derived at g={g}": "derived_at_g", "stated bound": "stated",
+              "stated at g={g}": "stated_at_g", "discrepancy": "discrepancy",
+              "discrepancy at g={g}": "discrepancy_at_g", "strict": "strict",
+              "c2 coefficient at g": "c2_coefficient", "correction": "correction",
+              "reference F_{n}({g})": "reference_at_g"},
+    "report": {"scenario": "scenario", "baseline (s=t=0)": "baseline",
+               "baseline at g={g}": "baseline_at_g", "minimum over grid": "minimum",
+               "limit c1sq -> oo": "limit", "admissible for c1sq >": "admissible_from",
+               "strict": "strict"},
+}
+#: fields whose table text is followed by its decimal, as "value (~ decimal)"
+APPROX_KEYS = {"derived_at_g", "stated_at_g", "reference_at_g"}
+
+
+def _check_table_fields(argv: list[str], pairs, meta: dict) -> None:
+    """Each labelled bound and report field of the table is its jsonl key's value."""
+    opt = lambda flag: argv[argv.index(flag) + 1]
+    keys = {label.format(n=opt("--n"), g=opt("--g")): key
+            for label, key in TABLE_KEYS[argv[0]].items()}
+    if argv[0] == "bound":  # jsonl carries bound's scenario line as its parts
+        meta = dict(meta, scenario=" ".join(f"{k}={meta[k]}" for k in ("n", "g", "case", "gamma")
+                                            if meta[k] is not None))
+    labelled = [(label, text) for label, text in pairs if label != "note"]
+    assert [label for label, _ in labelled] == list(keys)
+    for label, text in labelled:
+        key = keys[label]
+        cell = _csv_cells({key: meta[key]})[key]
+        if key in APPROX_KEYS:
+            text, _, approx = text.partition(" (~ ")
+            assert float(approx.removesuffix(")")) == pytest.approx(float(Fraction(cell)),
+                                                                    abs=1e-6)
+        assert text == cell, label
+
+
 def _check_formats_agree(argv: list[str], capsys) -> None:
-    """csv and jsonl carry the same facts; the table's rows, chain and notes are theirs."""
+    """csv and jsonl carry the same facts; the table's rows, fields, chain and notes are theirs."""
     outs = {}
     for fmt in cli.FORMATS:
         code, outs[fmt], err = run_cli(argv + ["--format", fmt], capsys)
@@ -809,6 +848,8 @@ def _check_formats_agree(argv: list[str], capsys) -> None:
     if argv[0] == "slope":
         assert pairs == [(k, f"{meta[k]} (~ {meta[k + '_approx']})") for k, _ in pairs[:5]] \
             + [("note", note) for note in meta["notes"]]
+    elif argv[0] in TABLE_KEYS:
+        _check_table_fields(argv, pairs, meta)
 
 
 @pytest.mark.parametrize("name", GOLDEN_RUNS)
@@ -1260,6 +1301,21 @@ def test_version_is_written_once(capsys):
     assert config["project"]["dynamic"] == ["version"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "gonalslope.__version__"}
+
+
+def test_ci_runs_readmes_tier1_command_from_the_python_floor():
+    """CI's lowest matrix Python is pyproject's requires-python floor, and its
+    pytest step runs --continue-on-collection-errors, as README's tier-1 command does."""
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    [floor] = re.findall(r'^requires-python = ">=([\d.]+)"$',
+                         PYPROJECT.read_text(encoding="utf-8"), re.M)
+    [matrix] = re.findall(r"^ +python-version: \[(.*)\]$", workflow, re.M)
+    versions = [tuple(map(int, v.strip(' "').split("."))) for v in matrix.split(",")]
+    assert ".".join(map(str, min(versions))) == floor == "3.10"
+    [ci] = re.findall(r"^ +run: .*python -m pytest(.*)$", workflow, re.M)
+    readme = re.findall(r"^PYTHONPATH=src python -m pytest(.*)$",
+                        README.read_text(encoding="utf-8"), re.M)
+    assert ci == readme[0] == " -q --continue-on-collection-errors"
 
 
 def test_closed_stdout_exits_0_quietly(child_env):

@@ -430,13 +430,56 @@ compose_funcs = st.builds(RatFunc, st.lists(coefficients, max_size=6).map(tuple)
 def test_compose_pair_is_coprime_before_any_gcd(f, h):
     """q^k num(p/q) and q^k den(p/q) share no factor, so compose skips the gcd."""
     p, q, _ = ratcalc._operand(h)
-    k = max(len(f.num), len(f.den)) - 1
-    num, den = ratcalc._phom(f.num, p, q, k), ratcalc._phom(f.den, p, q, k)
+    num, den = ratcalc._kron_compose(f.num, f.den, p, q)
     assume(den)
     if num:
         assert len(_pgcd(num, den)) == 1
     got, want = f.compose(h), ratcalc._canon(num, den)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+#: coefficients up to 10^20, so the packing width grows past a machine word
+big_coefficients = st.one_of(st.integers(-10**20, 10**20),
+                             st.fractions(-10**20, 10**20, max_denominator=10**6))
+big_funcs = st.builds(RatFunc, st.lists(big_coefficients, max_size=4).map(tuple),
+                      st.lists(big_coefficients, min_size=1, max_size=4).map(tuple).filter(any))
+
+
+@oracle_settings
+@given(big_funcs | compose_funcs, big_funcs | big_coefficients | compose_funcs | coefficients)
+@example(RatFunc(()), (G ** 2 + 1) / (G - 3))  # f = 0
+@example((G ** 3 - 2 * G + 5) / (3 * G ** 2 + 1), 7)
+@example((G ** 3 - 2 * G + 5) / (3 * G ** 2 + 1), Fraction(-10 ** 20, 7))
+@example((G ** 2 + G) / (G - 1), (-(10 ** 20) * G ** 3 + 1) / (G - 5))  # negative leads
+@example((-3 * G ** 4 + 1) / (2 * G + 7), (-G ** 2 - G) / (-5 * G ** 2 + 3))
+@example(1 / G, 0)  # the denominator vanishes identically
+def test_compose_matches_sympy_cancel(f, h):
+    expr, inner = sympy_of(f), sympy_of(h)
+    if sympy.cancel(to_sympy(f.den).as_expr().subs(SYM_G, inner)) == 0:
+        with pytest.raises(ZeroDivisionError):
+            f.compose(h)
+        return
+    got = f.compose(h)
+    assert (got.num, got.den) == sympy_cancelled(expr.subs(SYM_G, inner))
+    assert_canonical(got)
+
+
+@oracle_settings
+@given(ratfuncs, st.integers(-4, 8))
+@example(RatFunc(()), -2)
+@example(RatFunc(()), 0)
+@example((3 * G ** 2 + 1) / (G - 7), 12)
+def test_pow_matches_repeated_multiplication(f, k):
+    if k < 0 and not f:
+        with pytest.raises(ZeroDivisionError):
+            f ** k
+        return
+    want = RatFunc.const(1)
+    for _ in range(abs(k)):
+        want = want * f if k > 0 else want / f
+    got = f ** k
+    assert (got.num, got.den) == (want.num, want.den)
+    assert_canonical(got)
 
 
 @oracle_settings
@@ -521,18 +564,49 @@ def test_int_evaluation_matches_fraction_evaluation():
             f(x)
 
 
+def _refuse(name):
+    """A stand-in for the private function name that fails if it runs."""
+    def refuse(*args):
+        raise AssertionError(f"{name} ran on {args}")
+    return refuse
+
+
 def test_constant_operands_never_run_the_gcd(monkeypatch):
     funcs = [(G ** 2 + 1) / (G - 3), (2 * G + 4) / (6 * G ** 2 - 1), G ** 3 - G / 2,
              RatFunc.const(Fraction(-5, 4)), G - G]
     consts = [0, -3, Fraction(2, 7), RatFunc.const(Fraction(-5, 4)), RatFunc.const(0)]
-
-    def refuse(a, b):
-        raise AssertionError(f"gcd ran on {a}, {b}")
-
-    monkeypatch.setattr(ratcalc, "_pgcd", refuse)
+    monkeypatch.setattr(ratcalc, "_pgcd", _refuse("_pgcd"))
     for f, c in product(funcs, consts):
         for name, op in SCALAR_OPS.items():
             if not divides_by_zero(name, f, c):
                 op(f, c)
         assert (f == c) == (not (f - c)) == (c == f)
         f(Fraction(1, 5)), f(7)
+
+
+# -- work counts, without timing -------------------------------------------------
+
+
+def test_compose_runs_no_polynomial_product_or_sum(monkeypatch):
+    funcs = [(G ** 3 - 2 * G + 5) / (3 * G ** 2 + 1), G ** 5 / 7, RatFunc(()), 1 / (G + 1)]
+    inners = [G, (-(10 ** 20) * G ** 3 + 1) / (G - 5), 4 * G ** 2 - G, 7, Fraction(-3, 8)]
+    monkeypatch.setattr(ratcalc, "_pmul", _refuse("_pmul"))
+    monkeypatch.setattr(ratcalc, "_padd", _refuse("_padd"))
+    for f, h in product(funcs, inners):
+        f.compose(h)
+
+
+def test_coprime_pair_gcd_stops_at_a_constant_remainder(monkeypatch):
+    calls = []
+    prem = ratcalc._prem
+    monkeypatch.setattr(ratcalc, "_prem", lambda a, b: calls.append(a) or prem(a, b))
+    assert _pgcd((2, 0, 0, 1), (1, 0, 1)) == (1,)  # g^3 + 2 and g^2 + 1
+    assert len(calls) == 2
+
+
+def test_pow_runs_no_gcd(monkeypatch):
+    funcs = [(3 * G ** 2 + 1) / (G - 7), (G + 1) / (G - 1), -G ** 3 / 5, RatFunc.const(-2)]
+    monkeypatch.setattr(ratcalc, "_pgcd", _refuse("_pgcd"))
+    for f, k in product(funcs, (-3, 0, 1, 2, 5, 12)):
+        f ** k
+    RatFunc(()) ** 3
