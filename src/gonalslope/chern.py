@@ -1,9 +1,11 @@
 """Chern data of low-rank bundles: symmetric squares, extensions, characters.
 
-``BundleData.c1sq`` is computed once per bundle, on its first read, into
-the slot ``_c1sq``, which holds None until then.  The slot is no field:
-the record's fields are stored in ``_key`` alone, so equality, hashing,
-repr, copies and pickles do not see it.
+``BundleData`` checks its values when made: the rank is an ``int`` >= 1, a
+line bundle has c2 = 0, and c1 is a ``NumClass``.  ``BundleData.c1sq`` and
+``sym2(e)`` are each computed once per bundle, on first use, into the slots
+``_c1sq`` and ``_sym2``, which hold None until then.  The slots are no
+fields: the record's fields are stored in ``_key`` alone, so equality,
+hashing, repr, copies, pickles and ``replace`` do not see them.
 """
 from __future__ import annotations
 
@@ -18,18 +20,21 @@ class UnsupportedRankError(ValueError):
 class BundleData(Record, fields=("rank", "c1", "c2")):
     """(rank, c1, c2) of a vector bundle on the surface carrying c1."""
 
-    __slots__ = ("_c1sq",)
+    __slots__ = ("_c1sq", "_sym2")
 
     def __init__(self, rank: int, c1: NumClass, c2: Rat | RatFunc):
         c2 = lift(c2)
         self._fill(rank, c1, c2)
         _set_c1sq(self, None)
+        _set_sym2(self, None)
         if type(rank) is not int:
             raise TypeError(f"rank must be an int, not {rank!r}")
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
         if rank == 1 and c2:
             raise ValueError("a line bundle has c2 = 0")
+        if not isinstance(c1, NumClass):
+            raise TypeError(f"c1 must be a NumClass, not {c1!r}")
 
     @property
     def c1sq(self) -> Rat | RatFunc:
@@ -39,16 +44,21 @@ class BundleData(Record, fields=("rank", "c1", "c2")):
         return sq
 
 
-_set_c1sq = BundleData._c1sq.__set__
+_set_c1sq, _set_sym2 = BundleData._c1sq.__set__, BundleData._sym2.__set__
 
 
 def sym2(e: BundleData) -> BundleData:
-    """Chern data of Sym^2 for ranks 2 and 3."""
+    """Chern data of Sym^2 for ranks 2 and 3, built once per bundle (module docstring)."""
+    if (s := e._sym2) is not None:
+        return s
     if e.rank == 2:
-        return BundleData(3, 3 * e.c1, 2 * e.c1sq + 4 * e.c2)
-    if e.rank == 3:
-        return BundleData(6, 4 * e.c1, 5 * e.c1sq + 5 * e.c2)
-    raise UnsupportedRankError(f"sym2 of rank {e.rank}")
+        s = BundleData(3, 3 * e.c1, 2 * e.c1sq + 4 * e.c2)
+    elif e.rank == 3:
+        s = BundleData(6, 4 * e.c1, 5 * e.c1sq + 5 * e.c2)
+    else:
+        raise UnsupportedRankError(f"sym2 of rank {e.rank}")
+    _set_sym2(e, s)
+    return s
 
 
 def sym2_roots_oracle(a: NumClass, b: NumClass) -> BundleData:
@@ -85,6 +95,8 @@ class ChernCharacter(Record, fields=("rank", "d1", "d2")):
     __slots__ = ()
 
     def __add__(self, other: ChernCharacter) -> ChernCharacter:
+        if not isinstance(other, ChernCharacter):
+            return NotImplemented
         return ChernCharacter(self.rank + other.rank, self.d1 + other.d1,
                               self.d2 + other.d2)
 

@@ -15,11 +15,13 @@ equal classes store alike.  The constructors write that storage directly:
 the ``SurfaceModel`` generators pass their int tuple over denominator 1,
 and ``_new`` sets the three slots past the frozen ``__setattr__``.
 ``+`` and ``-`` take one lcm, every result one gcd (dividing only when it
-is not 1), and ``intersect`` is one integer dot product and one Fraction.  The
-tuples are built at their final size, ``(*it,)``: ``tuple(it)`` of an
-iterator with no length starts at ten slots and shrinks, which fills the
-interpreter's tuple free lists.  A class with a Q(g) coefficient keeps its
-Fraction and RatFunc entries and works on them entry by entry.
+is not 1), and ``intersect`` is one integer dot product and one Fraction.
+All three compare the two models by identity before value, since classes
+built together share one model object.  The tuples are built at their
+final size, ``(*it,)``: ``tuple(it)`` of an iterator with no length starts
+at ten slots and shrinks, which fills the interpreter's tuple free lists.
+A class with a Q(g) coefficient keeps its Fraction and RatFunc entries and
+works on them entry by entry.
 """
 from __future__ import annotations
 
@@ -164,7 +166,7 @@ class NumClass:
     epp = property(lambda self: self._entries()[2 + self.model.s:])
 
     def _combine(self, op, other: NumClass) -> NumClass:
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatchError(f"{self.model} vs {other.model}")
         da, db = self._den, other._den
         if da is None or db is None:
@@ -236,7 +238,7 @@ def intersect(a: NumClass, b: NumClass) -> Rat | RatFunc:
     """Intersection number under T0.F = 1, T0^2 = F^2 = 0, E^2 = -1, E mutually orthogonal."""
     if not (isinstance(a, NumClass) and isinstance(b, NumClass)):
         raise TypeError(f"intersect needs NumClasses, got {type(a).__name__}, {type(b).__name__}")
-    if a.model != b.model:
+    if a.model is not b.model and a.model != b.model:
         raise ModelMismatchError(f"{a.model} vs {b.model}")
     if a._den is None or b._den is None:
         x, y = a._entries(), b._entries()

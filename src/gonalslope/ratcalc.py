@@ -222,6 +222,14 @@ def _kron_compose(a: _Poly, b: _Poly, p: _Poly, q: _Poly) -> tuple[_Poly, _Poly]
     return out[0], out[1]
 
 
+def _horner(a: _Poly, x: int) -> int:
+    """The integer a(x)."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
 def _peval(a: _Poly, p: int, q: int, k: int) -> int:
     """The integer q^k a(p/q), for k >= deg a."""
     acc, qk = 0, 1
@@ -376,14 +384,16 @@ class RatFunc:
     # evaluation and substitution -------------------------------------------
 
     def __call__(self, x) -> Rat:
-        if not isinstance(x, int):  # an int is already x/1
+        if isinstance(x, int):  # Horner in integers: x is already x/1
+            n, d = _horner(self.num, x), _horner(self.den, x)
+        else:
             x = _exact(x)
-        p, q = x.numerator, x.denominator
-        k = max(len(self.num), len(self.den)) - 1
-        d = _peval(self.den, p, q, k)
+            p, q = x.numerator, x.denominator
+            k = max(len(self.num), len(self.den)) - 1
+            n, d = _peval(self.num, p, q, k), _peval(self.den, p, q, k)
         if d == 0:
             raise PoleError(f"pole of {self} at g = {x}")
-        return Fraction(_peval(self.num, p, q, k), d)
+        return Fraction(n, d)
 
     def compose(self, inner) -> RatFunc:
         """Substitute ``inner`` for the variable; inner may be a RatFunc or a number."""

@@ -1,6 +1,8 @@
 """Chern class calculus: Sym^2, Whitney sums, characters."""
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -50,6 +52,20 @@ def test_c1sq_computed_once_per_bundle(self_intersection_calls):
     assert self_intersection_calls == [e.c1]
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_sym2_built_once_per_bundle(rank, monkeypatch):
+    m = SurfaceModel(1, 2, 1)
+    e = BundleData(rank, NumClass(m, 3, Fraction(1, 2), (1, -2), (5,)), 4)
+    built = []
+    monkeypatch.setattr(chern, "BundleData", lambda *values: built.append(values)
+                        or BundleData(*values))
+    first = sym2(e)
+    assert sym2(e) is first and len(built) == 1
+    assert first == BundleData(*built[0]) and first.rank == {2: 3, 3: 6}[rank]
+    other = BundleData(rank, e.c1, e.c2)  # equal, so its Sym^2 is equal, and its own
+    assert sym2(other) == first and sym2(other) is not first and len(built) == 2
+
+
 def test_c1sq_cache_leaves_equality_hash_and_repr():
     m = SurfaceModel(0, 1, 2)
     c1 = NumClass(m, Fraction(-3, 2), 7, (2,), (1, Fraction(1, 3)))
@@ -57,6 +73,17 @@ def test_c1sq_cache_leaves_equality_hash_and_repr():
     read.c1sq
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
     assert {read, fresh} == {fresh}
+
+
+def test_sym2_cache_leaves_equality_hash_repr_and_copies():
+    m = SurfaceModel(0, 1, 2)
+    c1 = NumClass(m, Fraction(-3, 2), 7, (2,), (1, Fraction(1, 3)))
+    used, fresh = BundleData(3, c1, Fraction(5, 4)), BundleData(3, c1, Fraction(5, 4))
+    sym2(used)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert {used, fresh} == {fresh}
+    for twin in (copy.copy(used), pickle.loads(pickle.dumps(used)), used.replace()):
+        assert twin == fresh and twin._c1sq is twin._sym2 is None
 
 
 def test_c1sq_of_a_symbolic_class(self_intersection_calls):
@@ -123,6 +150,15 @@ def test_whitney_quotient_rank_guard():
     e = BundleData(2, m.t0(), 1)
     with pytest.raises(UnsupportedRankError):
         whitney_quotient(e, e)
+
+
+def test_chern_character_sum_with_non_character_raises_type_error():
+    e = BundleData(2, NumClass(SurfaceModel(), 1, 3), Fraction(5, 4))
+    ch = chern_character(e)
+    assert ch.__add__(1) is NotImplemented and ch.__add__(e) is NotImplemented
+    for op in (lambda: ch + 1, lambda: 1 + ch, lambda: ch + e, lambda: ch + e.c1):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
 
 
 def test_chern_character_pin():

@@ -81,6 +81,18 @@ def test_cross_model_operations_rejected():
         intersect(a, b)
     with pytest.raises(ModelMismatchError):
         a + b
+    with pytest.raises(ModelMismatchError):
+        a - b
+
+
+def test_equal_but_distinct_models_combine():
+    m, twin = SurfaceModel(1, 1, 1), SurfaceModel(1, 1, 1)
+    assert m == twin and m is not twin
+    coefficients = (2, Fraction(1, 3), (-1,), (Fraction(5, 2),))
+    b, b_here = NumClass(twin, *coefficients), NumClass(m, *coefficients)
+    for a in (canonical_class(m), blownup_c1(G, 4, 1, m)):  # Q and Q(g) storage
+        assert a + b == a + b_here and a - b == a - b_here and b - a == b_here - a
+        assert intersect(a, b) == intersect(b, a) == intersect(a, b_here)
 
 
 def test_pairing_symmetric_bilinear_fuzz():

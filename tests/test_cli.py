@@ -1305,7 +1305,8 @@ def test_version_is_written_once(capsys):
 
 def test_ci_runs_readmes_tier1_command_from_the_python_floor():
     """CI's lowest matrix Python is pyproject's requires-python floor, and its
-    pytest step runs --continue-on-collection-errors, as README's tier-1 command does."""
+    pytest step runs README's tier-1 command, -q --continue-on-collection-errors,
+    and adds only --durations=10, which lists the slowest tests in the log."""
     workflow = WORKFLOW.read_text(encoding="utf-8")
     [floor] = re.findall(r'^requires-python = ">=([\d.]+)"$',
                          PYPROJECT.read_text(encoding="utf-8"), re.M)
@@ -1315,7 +1316,8 @@ def test_ci_runs_readmes_tier1_command_from_the_python_floor():
     [ci] = re.findall(r"^ +run: .*python -m pytest(.*)$", workflow, re.M)
     readme = re.findall(r"^PYTHONPATH=src python -m pytest(.*)$",
                         README.read_text(encoding="utf-8"), re.M)
-    assert ci == readme[0] == " -q --continue-on-collection-errors"
+    assert ci == readme[0] + " --durations=10"
+    assert readme[0] == " -q --continue-on-collection-errors"
 
 
 def test_closed_stdout_exits_0_quietly(child_env):

@@ -555,13 +555,34 @@ def test_constant_hash_and_zero_divisors(q):
         q / (G - G)
 
 
-def test_int_evaluation_matches_fraction_evaluation():
-    f = (G ** 2 + 3) / (G - 3)
-    for x in (-4, 0, 2, 5):
-        assert f(x) == f(Fraction(x)) and type(f(x)) is Fraction
-    for x in (3, Fraction(3)):
-        with pytest.raises(PoleError, match="g = 3"):
-            f(x)
+def _evaluated(f, x):
+    """f(x), a Fraction, or the message of the PoleError it raised."""
+    try:
+        value = f(x)
+    except PoleError as exc:
+        return str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(ratfuncs, st.integers(-40, 40), st.integers(-40, 40))
+@example((G ** 2 + 3) / G, -4, 3)
+@example(RatFunc(()), 1, 1)
+def test_int_evaluation_matches_fraction_evaluation(f, x, r):
+    """An int point goes by Horner in integers, a Fraction by _peval: they agree."""
+    for h in (f, f / (G - r)):  # a pole at r unless f cancels it
+        for point in (x, r):
+            got = _evaluated(h, point)
+            assert got == _evaluated(h, Fraction(point))
+            if type(got) is str:
+                assert got == f"pole of {h} at g = {point}"
+        for flag in (False, True):
+            if type(got := _evaluated(h, int(flag))) is str:
+                with pytest.raises(PoleError):
+                    h(flag)
+            else:
+                assert h(flag) == got
 
 
 def _refuse(name):

@@ -159,6 +159,7 @@ REFUSALS = [
     (lambda: BundleData(0, C, 0), ValueError, "rank must be positive, got 0"),
     (lambda: BundleData(1, C, 1), ValueError, "a line bundle has c2 = 0"),
     (lambda: BundleData(2, C, 0.5), TypeError, "not an exact rational: 0.5"),
+    (lambda: BundleData(2, 5, 0), TypeError, "c1 must be a NumClass, not 5"),
     (lambda: SplittingType(5, 3), ValueError, "need 0 < alpha <= beta, got (5, 3)"),
     (lambda: SplittingType(0, 3), ValueError, "need 0 < alpha <= beta, got (0, 3)"),
     (lambda: SplittingType(0.5, 3), TypeError, "not an exact rational: 0.5"),
