@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chow import Record
-from .grr import GENUS_FLOOR, ScenarioError, blowup_correction, check_blowups
+from .grr import GENUS_FLOOR, ScenarioError, _fibre_degree, blowup_correction, check_blowups
 from .ratcalc import G, Rat, RatFunc, concrete, lift, over_lcm
 from .slope import (check_genus, fourgonal_blowup_parts, slope_fourgonal,
                     slope_trigonal, trigonal_blowup_parts)
@@ -142,7 +142,7 @@ class ScenarioSpec(Record, fields=("n", "g", "case", "gamma", "s", "t")):
         if self.case == "factorizing" and 6 * self.gamma + 3 >= g:
             return f"factorizing needs gamma < (g-3)/6: gamma={self.gamma}, g={g}"
         maroni, is_floor = _MARONI[self.case][self.n] or (None, True)
-        d = g + self.n - 1
+        d = _fibre_degree(g, self.n)
         if not is_floor and (d - maroni(g, self.gamma)) % 2:
             # an exact alpha = (g+n-1-m)/2 is integral only at one parity of g
             return f"{self.case} needs {'even' if g % 2 else 'odd'} g, got {g}"
@@ -157,7 +157,7 @@ class ScenarioSpec(Record, fields=("n", "g", "case", "gamma", "s", "t")):
     def _integral_alpha(self, g: int) -> int:
         """The integral alpha at genus g: (g+n-1-m)/2, rounded up where m is a floor."""
         maroni, _ = _MARONI[self.case][self.n]
-        return -((maroni(g, self.gamma) - (g + self.n - 1)) // 2)
+        return -((maroni(g, self.gamma) - _fibre_degree(g, self.n)) // 2)
 
 
 def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
@@ -171,7 +171,7 @@ def splitting_for_scenario(spec: ScenarioSpec) -> SplittingType | None:
     if _MARONI[spec.case][spec.n] is None:
         return None
     alpha = spec._integral_alpha(spec.g)
-    return SplittingType(alpha, spec.g + spec.n - 1 - alpha)
+    return SplittingType(alpha, _fibre_degree(spec.g, spec.n) - alpha)
 
 
 def _splitting(spec: ScenarioSpec, g):
@@ -185,7 +185,7 @@ def _splitting(spec: ScenarioSpec, g):
     if entry is None:
         return None
     maroni, is_floor = entry
-    d = g + (spec.n - 1)
+    d = _fibre_degree(g, spec.n)
     alpha = Fraction(1, 2) * (d - maroni(g, spec.gamma))
     return alpha, d - alpha, is_floor
 

@@ -30,7 +30,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, floordiv, mul, sub
 
-from .ratcalc import Rat, RatFunc, lift, over_lcm
+from .ratcalc import Rat, RatFunc, _paren, _sum, lift, over_lcm
 
 _MAX_BLOWUPS = 10_000
 
@@ -214,8 +214,7 @@ class NumClass:
         terms = [(vals[0], "T0"), (vals[1], "F")]
         terms += [(x, f"E'{i}") for i, x in enumerate(vals[2:2 + s]) if x]
         terms += [(x, f"E''{j}") for j, x in enumerate(vals[2 + s:]) if x]
-        bits = (f"({c})*{gen}" if " " in str(c) else f"{c}*{gen}" for c, gen in terms)
-        return " + ".join(bits).replace("+ -", "- ")
+        return _sum(f"{_paren(str(c))}*{gen}" for c, gen in terms)
 
 
 def _new(model: SurfaceModel, c: tuple, den: int | None, out=None) -> NumClass:

@@ -104,7 +104,7 @@ def conics_kernel(e: BundleData, rsq: Rat) -> BundleData:
 
 def _fibre_degree(g, n: int):
     """g+n-1, the fibre degree of E; ValueError unless it is positive where it is a number."""
-    d = g + n - 1
+    d = g + (n - 1)  # one addition where g is a RatFunc
     if (degree := concrete(d)) is not None and degree <= 0:
         raise ValueError(f"fibre degree g+n-1 = {d} must be positive")
     return d

@@ -31,7 +31,8 @@ p^i q^(k-i) is at most max(|p|_1, |q|_1)^k, so each output coefficient is
 at most m = max(|a|_1, |b|_1) * max(|p|_1, |q|_1)^k; with w = bitlen(m) + 2,
 m < 2^(w-1), so the digits are unique and the read-back exact.  Equality
 is plain structural comparison, and an independent check is always
-available by evaluating at enough sample points.
+available by evaluating at enough sample points.  ``_sum`` and ``_paren``
+are the one rule for the text of an exact expression; ``chow`` reads them.
 """
 from __future__ import annotations
 
@@ -239,25 +240,25 @@ def _peval(a: _Poly, p: int, q: int, k: int) -> int:
     return acc * q ** (k + 1 - len(a))
 
 
+def _sum(terms) -> str:
+    """Signed terms as one sum: a term that starts with '-' is subtracted."""
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def _paren(text: str, divisor: bool = False) -> str:
+    """text as an operand: parenthesised if it is a sum, or if it is a divisor
+    and neither an integer nor a bare power of g, so '/' never binds a product."""
+    bare = " " not in text and (not divisor or text.isdigit() or text[0] == "g")
+    return text if bare else f"({text})"
+
+
 def _pstr(a: _Poly) -> str:
-    parts: list[str] = []
+    terms = []
     for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            pw = "g" if k == 1 else f"g^{k}"
-            body = pw if mag == 1 else f"{mag}{pw}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+        if c := a[k]:
+            coef = "" if c == 1 else "-" if c == -1 else str(c)
+            terms.append(str(c) if k == 0 else f"{coef}g" if k == 1 else f"{coef}g^{k}")
+    return _sum(terms)
 
 
 class RatFunc:
@@ -384,7 +385,7 @@ class RatFunc:
     # evaluation and substitution -------------------------------------------
 
     def __call__(self, x) -> Rat:
-        if isinstance(x, int):  # Horner in integers: x is already x/1
+        if type(x) is int:  # Horner in integers: x is already x/1; a bool goes by _exact
             n, d = _horner(self.num, x), _horner(self.den, x)
         else:
             x = _exact(x)
@@ -411,9 +412,7 @@ class RatFunc:
             return str(self.as_rat())
         if self.den == (1,):
             return _pstr(self.num)
-        num_s, den_s = _pstr(self.num), _pstr(self.den)
-        wrap = lambda s: f"({s})" if " " in s else s
-        return f"{wrap(num_s)}/{wrap(den_s)}"
+        return f"{_paren(_pstr(self.num))}/{_paren(_pstr(self.den), divisor=True)}"
 
     def __repr__(self) -> str:
         return f"RatFunc[{self}]"

@@ -342,6 +342,8 @@ def test_str_parenthesises_compound_coefficients():
     assert (str(blownup_c1(G, 4, 1, SurfaceModel(1, 1, 1)))
             == "(g + 3)*T0 + (7/(g + 3))*F - 3*E'0 - 2*E''0")
     assert str(NumClass(SurfaceModel(0, 1, 0), 1, 2, (1 - G,))) == "1*T0 + 2*F + (-g + 1)*E'0"
+    # a coefficient that is no sum keeps its own text, a product divisor's parentheses included
+    assert str(NumClass(SurfaceModel(0, 1, 0), 1 / (3 * G), -1, (G,))) == "1/(3g)*T0 - 1*F + g*E'0"
 
 
 def test_str_omits_zero_entries_of_either_type():

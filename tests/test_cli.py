@@ -36,6 +36,8 @@ GOLDEN_RUNS = {
     "slope_n4_g11_s1_t2": ["slope", "--n", "4", "--g", "11", "--c1sq", "20", "--c2e", "9",
                            "--c2f", "6", "--s", "1", "--t", "2"],
     "bound_n4_general_odd_11": ["bound", "--n", "4", "--g", "11", "--case", "general-odd"],
+    # the paper's even-genus 4-gonal claim, stated as (16g - 24)/(3g)
+    "bound_n4_general_even_10": ["bound", "--n", "4", "--g", "10", "--case", "general-even"],
     "bound_n4_factorizing_2_20": ["bound", "--n", "4", "--g", "20", "--case", "factorizing",
                                   "--gamma", "2"],
     "report_n3_general_odd_5_t1": ["report", "--n", "3", "--g", "5", "--case",

@@ -275,3 +275,16 @@ def _renders(node: ast.AST) -> bool:
 def test_one_writer_renders_every_format():
     """cli._emit states every output rule; no subcommand branches on --format."""
     assert _scopes("cli", _renders) == {("cli", "_emit")}
+
+
+def _holds_sum_rule(node: ast.AST) -> bool:
+    """node is the string constant '+ -', the text ratcalc._sum rewrites."""
+    return isinstance(node, ast.Constant) and node.value == "+ -"
+
+
+def test_only_ratcalc_writes_a_sum():
+    """ratcalc owns the text of an exact expression: its sign rule is stated once,
+    in _sum, which chow reads; the search finds that one."""
+    found = set().union(*(_scopes(module, _holds_sum_rule)
+                          for module in sorted({*LAYERS, "__init__", "__main__"})))
+    assert found == {("ratcalc", "_sum")}
