@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chow import Record
-from .grr import GENUS_FLOOR, ScenarioError, _fibre_degree, blowup_correction, check_blowups
+from .grr import (GENUS_FLOOR, ScenarioError, _fibre_degree, blowup_correction, check_blowups,
+                  check_degree)
 from .ratcalc import G, Rat, RatFunc, concrete, lift, over_lcm
 from .slope import (check_genus, fourgonal_blowup_parts, slope_fourgonal,
                     slope_trigonal, trigonal_blowup_parts)
@@ -72,8 +73,7 @@ def weak_positivity_bound(st: SplittingType, c1sq) -> tuple[Rat, bool]:
 
 def index_bound(n: int, c1sq) -> Rat:
     """Upper bound 4 c1^2 / n on R^2 for a degree-n cover (signature argument)."""
-    if n < 2:
-        raise ScenarioError(f"index bound needs degree >= 2, got {n}")
+    check_degree(n)
     return Fraction(4, n) * lift(c1sq)
 
 

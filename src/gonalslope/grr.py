@@ -110,6 +110,15 @@ def _fibre_degree(g, n: int):
     return d
 
 
+def check_degree(n, c2=0) -> None:
+    """Raise ScenarioError unless the cover degree n is at least 2 where it is a
+    number (E has rank n-1 >= 1), and c2 = 0 at n = 2, where E is a line bundle."""
+    if (degree := concrete(n)) is not None and degree < 2:
+        raise ScenarioError(f"cover degree n must be at least 2, got {n}")
+    if degree == 2 and c2:
+        raise ScenarioError(f"a degree-2 cover has a line bundle E, so c2 = 0, got {c2}")
+
+
 def c1_decomposition(g: int, n: int, c1sq: Rat, model: SurfaceModel) -> NumClass:
     """c1(E) = (g+n-1) T0 + (c1sq / 2(g+n-1)) F on an unblown model.
 

@@ -33,6 +33,15 @@ m < 2^(w-1), so the digits are unique and the read-back exact.  Equality
 is plain structural comparison, and an independent check is always
 available by evaluating at enough sample points.  ``_sum`` and ``_paren``
 are the one rule for the text of an exact expression; ``chow`` reads them.
+
+``pair`` is the one pair view: an exact scalar as its (numerator,
+denominator), each an int where it is constant and an ``IntPoly`` where it
+is not.  +, - and * on those ring values never normalise, and ``ratio``
+brings a quotient of two to lowest terms once: a Fraction of two ints, or a
+canonical RatFunc.  So a formula over several scalars, written as the
+integer formula it is at a concrete genus, takes one canonical form per
+result over Q(g), not one per RatFunc operation.  ``slope`` writes its
+formulas that way, and so makes no RatFunc type test of its own.
 """
 from __future__ import annotations
 
@@ -166,10 +175,12 @@ def _pexquo(a: _Poly, b: _Poly) -> _Poly:
     q = [0] * (len(a) - n + 1)
     for k in range(len(q) - 1, -1, -1):
         q[k], rem = divmod(r.pop(), lead)
-        assert not rem, "inexact polynomial division"
+        if rem:  # raises, not asserts: python -O keeps both
+            raise AssertionError("inexact polynomial division")
         for i in range(n - 1):
             r[k + i] -= q[k] * b[i]
-    assert not any(r), "inexact polynomial division"
+    if any(r):
+        raise AssertionError("inexact polynomial division")
     return tuple(q)
 
 
@@ -201,6 +212,76 @@ def _operand(x):
     if isinstance(x, (int, Fraction)):
         return ((x.numerator,) if x else ()), (x.denominator,), True
     return None
+
+
+# -- the pair view: a scalar as (numerator, denominator) ring values, so a  --
+# -- formula over several scalars takes one canonical form per result       --
+
+
+class IntPoly:
+    """An integer polynomial in g as a ring element: +, - and * with ints and
+    IntPolys, never normalised.  ``pair`` makes them and ``ratio`` divides two."""
+
+    __slots__ = ("cs",)
+
+    def __init__(self, cs: _Poly):
+        self.cs = cs
+
+    def __bool__(self) -> bool:
+        return bool(self.cs)
+
+    def __add__(self, other):
+        return IntPoly(_padd(self.cs, _coeffs(other)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return IntPoly((*(-c for c in self.cs),))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        return self if other == 1 else IntPoly(_pmul(self.cs, _coeffs(other)))
+
+    __rmul__ = __mul__
+
+
+def _coeffs(x) -> _Poly:
+    """The coefficients of a ring value: an IntPoly's own, an int as a constant."""
+    return x.cs if type(x) is IntPoly else (x,) if x else ()
+
+
+def _ring(cs: _Poly):
+    """A polynomial as a ring value: an int where it is constant, else an IntPoly."""
+    return IntPoly(cs) if len(cs) > 1 else cs[0] if cs else 0
+
+
+def pair(x):
+    """(numerator, denominator) of an exact scalar as ring values, ints where
+    they are constant.  So a formula over pairs stays in ints exactly where
+    every input is a number (a constant RatFunc is one, as for ``concrete``)."""
+    if type(x) is int or type(x) is Fraction:
+        return x.as_integer_ratio()
+    if isinstance(x, RatFunc):
+        return _ring(x.num), _ring(x.den)
+    return _exact(x).as_integer_ratio()
+
+
+def ratio(num, den):
+    """num/den in lowest terms: a Fraction of two ints; one canonical form where
+    an IntPoly is in; any other exact scalars by their own division."""
+    if type(num) is int and type(den) is int:
+        return Fraction(num, den)
+    if type(num) is IntPoly or type(den) is IntPoly:
+        d = _coeffs(den)
+        if not d:
+            raise ZeroDivisionError("denominator is identically zero")
+        return _canon(_coeffs(num), d)
+    return num / den
 
 
 def _kron_compose(a: _Poly, b: _Poly, p: _Poly, q: _Poly) -> tuple[_Poly, _Poly]:

@@ -2,26 +2,22 @@
 
 All formulas work uniformly over exact rationals and over RatFunc, so a
 genus can be left symbolic.  K_f^2 and chi_f are written once, in _parts,
-with one division each: in integers at a concrete genus, lifted for a
-Q(g) derivation (_parts says why it keeps both routes).
-fourgonal_rearranged is ring operations on (numerator, denominator) pairs;
-_ratio forms every slope and is the one place chi_f = 0 is an error.  A
-concrete genus must be positive (check_genus), and so must the fibre
-degree g+n-1 (grr._fibre_degree).  The degree-3 and degree-4 blow-up parts
-only supply R^2, and the s = t = 0 entry points delegate to the blow-up ones.
+as ring operations on the (numerator, denominator) pairs of ratcalc.pair
+with one division each: in integers at a concrete genus, on integer
+polynomials for a Q(g) derivation, so each output takes one canonical
+form.  fourgonal_rearranged and harris_stankova_reference are written the
+same way; _ratio forms every slope and is the one place chi_f = 0 is an
+error.  A concrete genus must be positive (check_genus), so must the fibre
+degree g+n-1 (grr._fibre_degree), and a concrete cover degree must be at
+least 2 (grr.check_degree).  The degree-3 and degree-4 blow-up parts only
+supply R^2, and the s = t = 0 entry points delegate to the blow-up ones.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .chern import BundleData
 from .chow import Record, SurfaceModel, canonical_class, intersect
-from .grr import _fibre_degree, c1_decomposition, check_blowups, chi_total_space
-from .ratcalc import G, concrete, lift
-
-
-#: input types of the integer route: as_integer_ratio() gives (numerator, denominator)
-_EXACT = {int, Fraction}
+from .grr import _fibre_degree, c1_decomposition, check_blowups, check_degree, chi_total_space
+from .ratcalc import G, concrete, lift, pair, ratio
 
 
 class ZeroChiError(ZeroDivisionError):
@@ -31,7 +27,7 @@ class ZeroChiError(ZeroDivisionError):
 def _ratio(kf2, chif):
     if not chif:
         raise ZeroChiError("chi_f = 0")
-    return kf2 / chif
+    return ratio(kf2, chif)
 
 
 class FibrationInvariants(Record, fields=("kf2", "chif", "slope")):
@@ -65,32 +61,37 @@ def _parts(g, n: int, c1sq, c2, rsq, s=0, t=0):
 
     K_f^2 = R^2 - 4c1^2/(g+n-1) and
     chi_f = ((g+n-2)c1^2 + 3gs + 2(g+n-3)t) / (2(g+n-1)) - c2.
-    With g, n, s and t ints and c1^2 = a/A, c2 = b/B, R^2 = r/R ints or
-    Fractions, both are built from integers over one denominator, with
-    d = g+n-1: K_f^2 = (rAd - 4aR)/(RAd) and
-    chi_f = (((g+n-2)a + (3gs + 2(g+n-3)t)A)B - 2dAb)/(2dAB).
-    Otherwise every non-int input is lifted and each output takes one
-    division.  The outputs are Fraction, or RatFunc where an input is one.
+    With g = u/v, n = m/w, c1^2 = a/A, c2 = b/B and R^2 = r/R as
+    ratcalc.pair gives them, g = h/W and n = N/W over W = vw, and
+    d = h + N - W, so g+n-1 = d/W:
+    K_f^2 = (rAd - 4aRW)/(RAd) and
+    chi_f = (((d-W)a + (3hs + 2(d-2W)t)A)B - 2dAb)/(2dAB),
+    each brought to lowest terms once by ratcalc.ratio.  Where every input
+    is a number (a constant RatFunc is one) the pairs are ints and each
+    output is one Fraction; otherwise they are integer polynomials and each
+    output is one canonical RatFunc.
 
-    The routes stay two: one body, on (x, 1) or on polynomial pairs, cost
-    the genus-sweep benchmark 9-10% of its pass time (twice the RatFunc
-    operations over Q(g)), and the lifted route alone takes 12.6 in place
-    of 5.1 us per concrete call, 2,904 of them in a verify pass.
+    One body serves both routes.  On RatFunc ring elements it cost
+    genus-sweep 9-10% of its pass time, as each operation normalised its
+    own result.  On the pairs the derivation's calls at g = G take 21-27%
+    less time than the per-operation route did, and a concrete call about
+    0.2 us more, which is check_degree (CPython 3.11 on a 2-CPU container,
+    best of 15 alternating in-process timings).
     """
     if s or t:
         check_blowups(n, s, t)
     check_genus(g)
-    d = _fibre_degree(g, n)
-    if type(g) is type(n) is type(s) is type(t) is int \
-            and {*map(type, (c1sq, c2, rsq))} <= _EXACT:
-        (a, A), (b, B), (r, R) = (x.as_integer_ratio() for x in (c1sq, c2, rsq))
-        blowups = (3 * g * s + 2 * (g + n - 3) * t) * A
-        return (Fraction(r * A * d - 4 * a * R, R * A * d),
-                Fraction(((g + n - 2) * a + blowups) * B - 2 * d * A * b, 2 * d * A * B))
-    c1sq, c2, rsq = lift(c1sq), lift(c2), lift(rsq)
-    g, n, s, t = (x if type(x) is int else lift(x) for x in (g, n, s, t))
-    blowups = 3 * g * s + 2 * (g + n - 3) * t if s or t else 0
-    return rsq - 4 * c1sq / d, ((g + n - 2) * c1sq + blowups) / (2 * d) - c2
+    _fibre_degree(g, n)
+    check_degree(n, c2)
+    (u, v), (m, w), (a, A), (b, B), (r, R) = map(pair, (g, n, c1sq, c2, rsq))
+    h, W = u * w, v * w
+    d = h + (m * v - W)
+    above = (d - W) * a
+    if s or t:
+        above += (3 * h * s + 2 * (d - 2 * W) * t) * A
+    ad = A * d
+    ad2 = 2 * ad
+    return ratio(r * ad - 4 * a * R * W, R * ad), ratio(above * B - ad2 * b, ad2 * B)
 
 
 def _invariants(kf2, chif) -> FibrationInvariants:
@@ -112,6 +113,7 @@ def slope_general_via_surface(g: int, n: int, c1sq, c2, rsq, b: int) -> Fibratio
     check_genus(g)
     model = SurfaceModel(b)
     c1 = c1_decomposition(g, n, c1sq, model)
+    check_degree(n, c2)
     e = BundleData(n - 1, c1, c2)
     ky = canonical_class(model)
     twist = (g - 1) * (b - 1)
@@ -135,19 +137,20 @@ def fourgonal_rearranged(g, c1sq, c2f, s=0, t=0):
     4 + (c2F - 2c1^2/(g+3)) / ((g+1)/(4(g+3)) c1^2 - c2F/4 + blow-up terms).
     At s = t = 0 this equals the direct quotient exactly; with blow-ups the
     direct quotient is smaller by 4*(blow-up terms)/chi_f, so only the
-    direct route is used for bounds.  c1^2 = a/A and c2F = f/F are
-    (numerator, denominator) pairs, (lift(x), 1) unless x is an int or
-    Fraction; the excess times 4(g+3)AF is num/den in ring operations, on
-    ints and RatFuncs alike, and the one division, in _ratio, comes last.
+    direct route is used for bounds.  With g = u/v, c1^2 = a/A and
+    c2F = f/F the pairs of ratcalc.pair, the excess is num/den, both
+    multiplied by 4(g+3)AFv, in ring operations on ints and integer
+    polynomials alike; the one division, in _ratio, comes last.
     """
     check_blowups(4, s, t)
     check_genus(g)
-    g, s, t = (x if type(x) is int else lift(x) for x in (g, s, t))
-    (a, A), (f, F) = (x.as_integer_ratio() if type(x) in _EXACT else (lift(x), 1)
-                      for x in (c1sq, c2f))
-    num = 4 * (g + 3) * A * f - 8 * a * F
-    den = (g + 1) * a * F - (g + 3) * A * f + (6 * g * s + 4 * (g + 1) * t) * A * F
-    return _ratio(lift(4 * den + num), den)
+    (u, v), (a, A), (f, F) = map(pair, (g, c1sq, c2f))
+    g3, aF, Af = u + 3 * v, a * F, A * f
+    num = 4 * g3 * Af - 8 * aF * v
+    den = (u + v) * aF - g3 * Af
+    if s or t:
+        den += (6 * u * s + 4 * (u + v) * t) * A * F
+    return _ratio(4 * den + num, den)
 
 
 def trigonal_blowup_parts(g, c1sq, c2, t):
@@ -182,13 +185,15 @@ def slope_fourgonal_blowup(g, c1sq, c2e, c2f, s, t) -> FibrationInvariants:
 def harris_stankova_reference(n: int, g=None):
     """Reference slope profile 6 - 2/(n-1) - 2n/g for degree-n covers.
 
-    A RatFunc in g, or its exact value at a supplied genus g.
+    A RatFunc in g, or its exact value at a supplied genus g.  With
+    g = u/v and n = m/w as ratcalc.pair gives them, that is
+    ((6m - 8w)wu - 2m(m-w)v) / ((m-w)wu), brought to lowest terms once.
     """
-    if n < 2:
-        raise ValueError(f"reference profile needs n >= 2, got {n}")
+    check_degree(n)
     g = G if g is None else g
     check_genus(g)
-    return 6 - Fraction(2, n - 1) - Fraction(2 * n) / g
+    (u, v), (m, w) = pair(g), pair(n)
+    return ratio((6 * m - 8 * w) * w * u - 2 * m * (m - w) * v, (m - w) * w * u)
 
 
 def check_genus(g) -> None:

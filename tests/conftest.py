@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,3 +55,22 @@ def fraction_count(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     return built
+
+
+@pytest.fixture
+def canon_count(monkeypatch) -> Counter:
+    """Calls of ratcalc._canon and ratcalc._normal while the test runs, by name.
+
+    A _canon call ends in a _normal call, which counts too.  Values built in
+    set-up count as well, so clear() the counter before the code under test.
+    """
+    from gonalslope import ratcalc
+
+    calls = Counter()
+    for name in ("_canon", "_normal"):
+        def counting(*args, original=getattr(ratcalc, name), name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ratcalc, name, counting)
+    return calls

@@ -296,7 +296,7 @@ _REPORT = ScenarioSpec(3, 11, "general_odd", t=1)
 #: each public entry with a caller's scalar put in one slot
 _SCALAR_ENTRIES = {
     "slope_general": lambda x: gs.slope_general(10, 3, x, 1, 2),
-    "slope_general.n": lambda x: gs.slope_general(10, x, 1, 1, 2),
+    "slope_general.n": lambda x: gs.slope_general(10, 3 + x, 1, 1, 2),
     "slope_general.g": lambda x: gs.slope_general(x, 3, 14, 3, 2),
     "slope_general_via_surface.rsq": lambda x: gs.slope_general_via_surface(10, 3, 14, 3, x, 1),
     "slope_trigonal": lambda x: gs.slope_trigonal(5, x, 1),

@@ -1,11 +1,13 @@
 """Case-by-case derived bounds, stated closed forms, blow-up reports."""
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -685,3 +687,51 @@ def test_derivations_stay_within_the_gcd_budget(monkeypatch):
         derived_slope_bound(spec)
     # 135 calls when every constant operand ran the gcd too; counts repeat exactly
     assert len(calls) <= 80
+
+
+# -- the derivation over Q(g): values recorded before the pair route, and its work --
+
+#: derived_slope_bound for every family and factorizing gamma 1..12, recorded when
+#: every RatFunc operation normalised its own result; num/den lists, lowest degree first
+DERIVATIONS = json.loads((Path(__file__).resolve().parent / "golden" / "derivations.json")
+                         .read_text(encoding="utf-8"))
+
+
+def test_recorded_derivations_cover_every_family_and_gamma():
+    assert [(r["n"], r["case"], r["gamma"]) for r in DERIVATIONS] == [
+        (n, case, gamma) for case in CASES for n in sorted(_MARONI[case])
+        for gamma in (range(1, 13) if case == "factorizing" else [None])]
+
+
+@pytest.mark.parametrize("row", DERIVATIONS,
+                         ids=lambda r: f"{r['n']}-{r['case']}-{r['gamma']}-g{r['g']}")
+def test_derivation_matches_the_recorded_one(row):
+    res = derived_slope_bound(ScenarioSpec(row["n"], row["g"], row["case"], row["gamma"]))
+    for field in ("derived_bound", "stated_bound", "discrepancy"):
+        value = getattr(res, field)
+        assert type(value) is RatFunc and [list(value.num), list(value.den)] == row[field]
+    assert type(res.c2_coefficient) is Fraction
+    assert str(res.c2_coefficient) == row["c2_coefficient"]
+    assert list(res.chain) == row["chain"]
+
+
+#: (n, g, case, gamma) -> (_canon, _normal) calls one derived_slope_bound makes.
+#: A _canon ends in a _normal, counted under both.  Normalising each RatFunc
+#: operation's result took 31 to 69 _normal calls (CHANGES.md has each family's).
+DERIVATION_WORK = {
+    (3, 5, "index_only", None): (7, 17),
+    (3, 7, "general_odd", None): (9, 21),
+    (3, 6, "general_even", None): (9, 20),
+    (4, 10, "index_only", None): (9, 27),
+    (4, 11, "general_odd", None): (10, 29),
+    (4, 10, "general_even", None): (11, 26),
+    (4, 12, "nonfactorizing", None): (13, 32),
+    (4, 30, "factorizing", 2): (9, 29),
+}
+
+
+@pytest.mark.parametrize("spec", DERIVATION_WORK, ids=str)
+def test_derivation_normalises_once_per_result(spec, canon_count):
+    canon_count.clear()
+    derived_slope_bound(ScenarioSpec(*spec))
+    assert (canon_count["_canon"], canon_count["_normal"]) == DERIVATION_WORK[spec]

@@ -1291,6 +1291,18 @@ def test_cancellation_certificate_exits_4(n, capsys, kf2_constant_term):
     assert err.startswith("error: internal check failed: c1^2 failed to cancel for ")
 
 
+def test_inexact_division_exits_4_under_python_O(child_env):
+    """ratcalc._pexquo's checks are raises, not asserts, so python -O keeps them:
+    a gcd that does not divide ends the run with exit 4, as the certificate does."""
+    code = ("import sys; from gonalslope import cli, ratcalc; "
+            "ratcalc._pgcd = lambda a, b: (1, 1); "  # claims g + 1 divides every pair
+            "sys.exit(cli.main(['bound', '--n', '4', '--g', '11', '--case', 'general-odd']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=child_env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: internal check failed: inexact polynomial division\n"
+
+
 def test_version_is_written_once(capsys):
     """--version prints the package version, which pyproject.toml reads, not repeats."""
     code, out, _ = run_cli(["--version"], capsys)

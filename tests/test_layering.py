@@ -288,3 +288,29 @@ def test_only_ratcalc_writes_a_sum():
     found = set().union(*(_scopes(module, _holds_sum_rule)
                           for module in sorted({*LAYERS, "__init__", "__main__"})))
     assert found == {("ratcalc", "_sum")}
+
+
+#: (comparison, literal) pairs that say `degree < 2` or its negation, the degree on the left
+_DEGREE_FLOOR = {(ast.Lt, 2), (ast.LtE, 1), (ast.GtE, 2), (ast.Gt, 1)}
+_MIRRORED = {ast.Lt: ast.Gt, ast.LtE: ast.GtE, ast.Gt: ast.Lt, ast.GtE: ast.LtE}
+
+
+def _tests_degree_floor(node: ast.AST) -> bool:
+    """node is `n < 2`, `n <= 1`, `n >= 2` or `n > 1`, either way round, for a
+    name n or degree."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and type(node.ops[0]) in _MIRRORED):
+        return False
+    op, left, right = type(node.ops[0]), node.left, node.comparators[0]
+    if isinstance(left, ast.Constant):
+        op, left, right = _MIRRORED[op], right, left
+    return getattr(left, "id", None) in ("n", "degree") and isinstance(right, ast.Constant) \
+        and (op, right.value) in _DEGREE_FLOOR
+
+
+def test_only_check_degree_states_the_degree_floor():
+    """grr.check_degree refuses a cover degree below 2 for both slope routes, the
+    reference profile and the index bound; no other scope tests n < 2."""
+    found = set().union(*(_scopes(module, _tests_degree_floor)
+                          for module in sorted({*LAYERS, "__init__", "__main__"})))
+    assert found == {("grr", "check_degree")}

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import re
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -619,6 +620,64 @@ def test_constant_operands_never_run_the_gcd(monkeypatch):
                 op(f, c)
         assert (f == c) == (not (f - c)) == (c == f)
         f(Fraction(1, 5)), f(7)
+
+
+def test_inexact_division_raises_under_python_O(child_env):
+    """python -O strips asserts; _pexquo's two checks are raises, so they stay."""
+    # g^2 + 1 by g + 1 leaves a remainder; by 2g + 1 a leading coefficient 2 does not divide
+    for a, b in [((1, 0, 1), (1, 1)), ((1, 0, 1), (1, 2))]:
+        code = f"from gonalslope import ratcalc; ratcalc._pexquo({a}, {b})"
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=child_env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == "AssertionError: inexact polynomial division"
+
+
+# -- the pair view ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x, want", [
+    (7, (7, 1)), (Fraction(-3, 4), (-3, 4)), (True, (1, 1)),
+    (RatFunc.const(Fraction(5, 2)), (5, 2)), (RatFunc(()), (0, 1)),
+])
+def test_pair_of_a_number_is_two_ints(x, want):
+    got = ratcalc.pair(x)
+    assert got == want and [type(c) for c in got] == [int, int]
+
+
+@pytest.mark.parametrize("x", [0.5, Decimal("0.5"), "1", None])
+def test_pair_refuses_what_lift_refuses(x):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        ratcalc.pair(x)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(("+", "-", "*", "r+", "r-", "r*")),
+                          st.lists(st.integers(-9, 9), max_size=4) | st.integers(-9, 9)),
+                min_size=1, max_size=6),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+def test_ring_values_match_ratfunc_arithmetic(steps, den):
+    """IntPoly and int ring values, folded by +, - and * on either side and
+    divided once by ratio, give what the same RatFunc operations give."""
+    assume(any(den))
+    ring, want = ratcalc.pair(G)[0], G
+    for op, x in steps:
+        value = RatFunc(x) if isinstance(x, list) else x
+        term = ratcalc.pair(value)[0]
+        ring, want = {"+": (ring + term, want + value), "-": (ring - term, want - value),
+                      "*": (ring * term, want * value), "r+": (term + ring, value + want),
+                      "r-": (term - ring, value - want), "r*": (term * ring, value * want)}[op]
+    d = ratcalc.pair(RatFunc(den))[0]
+    got = ratcalc.ratio(ring, d)
+    assert type(got) is RatFunc and (got.num, got.den) == ((want / RatFunc(den)).num,
+                                                          (want / RatFunc(den)).den)
+
+
+def test_ratio_of_ints_is_a_fraction_and_a_zero_polynomial_is_refused():
+    assert ratcalc.ratio(6, -4) == Fraction(-3, 2) and type(ratcalc.ratio(6, -4)) is Fraction
+    zero = ratcalc.pair(G)[0] * 0
+    with pytest.raises(ZeroDivisionError, match="denominator is identically zero"):
+        ratcalc.ratio(ratcalc.pair(G)[0], zero)
 
 
 # -- work counts, without timing -------------------------------------------------

@@ -316,6 +316,81 @@ def test_rearranged_over_q_of_g_matches_the_per_term_formula(s, t):
     assert isinstance(got, RatFunc) and got == _rearranged_oracle(*args)
 
 
+# -- _parts and fourgonal_rearranged over Q(g): drawn inputs, the derivation's own --
+
+#: Maroni invariant m(g, gamma) of every case family, as bounds._MARONI states them
+_MARONI_SHAPES = (lambda g, gamma: 0, lambda g, gamma: 1, lambda g, gamma: g - 5,
+                  lambda g, gamma: (g + 3) / 3, lambda g, gamma: g - 1 - 4 * gamma)
+
+_small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=3)
+
+
+@st.composite
+def _ratfuncs(draw):
+    """A RatFunc of low degree; a constant one now and then."""
+    num, den = draw(_small_polys), draw(_small_polys.filter(any))
+    return RatFunc(num, den)
+
+
+#: G, or another function of g, some with a denominator
+_genera = st.sampled_from((G, G + 3, 2 * G - 1, (G + 1) / 2, (3 * G + 2) / 5))
+
+
+@st.composite
+def _weak_positivity_coefficients(draw, g, n):
+    """q = alpha/(2(g+n-1)) with alpha = (g+n-1-m)/2, m a case's Maroni invariant."""
+    d = g + n - 1
+    m = draw(st.sampled_from(_MARONI_SHAPES))(g, draw(st.integers(1, 12)))
+    return (d - m) / (4 * d)
+
+
+@st.composite
+def _symbolic_parts_inputs(draw):
+    n, g = draw(st.sampled_from((3, 4))), draw(_genera)
+    s = draw(st.integers(0, 60)) if n == 4 else 0
+    t = draw(st.integers(0, 60))
+    if draw(st.booleans()):  # the derivation's own inputs at c1^2 = 1
+        q = draw(_weak_positivity_coefficients(g, n))
+        c2 = q if n == 3 else (1 + q) / 4
+        return g, n, 1, c2, 2 - 3 * q if n == 3 else 2 - 4 * c2 + q, s, t
+    scalars = _ratfuncs() | _exact_values
+    return g, n, draw(scalars), draw(scalars), draw(scalars), s, t
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_symbolic_parts_inputs())
+def test_parts_over_q_of_g_matches_the_per_term_formula_when_drawn(args):
+    got = slope._parts(*args)
+    want = _parts_oracle(*args)
+    for x, y in zip(got, want):
+        assert type(x) is RatFunc and (x.num, x.den) == (y.num, y.den)
+
+
+@st.composite
+def _symbolic_rearranged_inputs(draw):
+    g = draw(_genera)
+    s, t = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        c1sq, c2f = 1, draw(_weak_positivity_coefficients(g, 4))
+    else:
+        c1sq, c2f = draw(_ratfuncs() | _exact_values), draw(_ratfuncs() | _exact_values)
+    if draw(st.booleans()):  # c2(F) that makes the denominator vanish
+        c2f = ((g + 1) * c1sq + 6 * g * s + 4 * (g + 1) * t) / (g + 3)
+    return g, c1sq, c2f, s, t
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_symbolic_rearranged_inputs())
+def test_rearranged_over_q_of_g_matches_the_per_term_formula_when_drawn(args):
+    want = _rearranged_oracle(*args)
+    if want is None:
+        with pytest.raises(ZeroChiError, match="chi_f = 0"):
+            fourgonal_rearranged(*args)
+    else:
+        got = fourgonal_rearranged(*args)
+        assert type(got) is RatFunc and (got.num, got.den) == (want.num, want.den)
+
+
 _GENUS_ENTRIES = {
     "slope_general": lambda g: slope_general(g, 3, 5, 1, 1),
     "slope_general_via_surface": lambda g: slope_general_via_surface(g, 3, 14, 3, 2, 1),
@@ -346,6 +421,26 @@ def test_nonpositive_fibre_degree_refused(route, n, g):
     message = rf"^fibre degree g\+n-1 = {g + n - 1} must be positive$"
     with pytest.raises(ValueError, match=message):
         route(g, n, 14, 3, 2)
+
+
+def _outcome(call, *args):
+    """("ok", invariants), or the type and message of what call(*args) raised."""
+    try:
+        return "ok", call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_route_values = st.fractions(-60, 60, max_denominator=12)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.integers(-2, 30), st.integers(-2, 6), _route_values, _route_values | st.just(0),
+       _route_values, st.integers(0, 3))
+def test_both_slope_routes_refuse_the_same_inputs(g, n, c1sq, c2, rsq, b):
+    """grr.check_degree owns the degree rule: n >= 2, and c2 = 0 at n = 2."""
+    direct = _outcome(slope_general, g, n, c1sq, c2, rsq)
+    assert direct == _outcome(slope_general_via_surface, g, n, c1sq, c2, rsq, b)
 
 
 #: entry point -> (call on g and its Chern inputs, exact values of those inputs)

@@ -20,7 +20,7 @@ from gonalslope.bounds import (BlowupReport, BlowupRow, BoundResult, C2Bound, Sc
 from gonalslope.chern import BundleData, ChernCharacter
 from gonalslope.chow import ModelMismatchError, NumClass, Record, SurfaceModel
 from gonalslope.ratcalc import G, RatFunc
-from gonalslope.slope import FibrationInvariants, ModuliData
+from gonalslope.slope import FibrationInvariants, ModuliData, slope_general
 
 const = RatFunc.const
 M1 = SurfaceModel(0, 1, 0)
@@ -160,6 +160,12 @@ REFUSALS = [
     (lambda: BundleData(1, C, 1), ValueError, "a line bundle has c2 = 0"),
     (lambda: BundleData(2, C, 0.5), TypeError, "not an exact rational: 0.5"),
     (lambda: BundleData(2, 5, 0), TypeError, "c1 must be a NumClass, not 5"),
+    (lambda: slope_general(5, 0, 14, 3, 2), ScenarioError,
+     "cover degree n must be at least 2, got 0"),
+    (lambda: slope_general(5, 1, 14, 3, 2), ScenarioError,
+     "cover degree n must be at least 2, got 1"),
+    (lambda: slope_general(5, 2, 14, 3, 2), ScenarioError,
+     "a degree-2 cover has a line bundle E, so c2 = 0, got 3"),
     (lambda: SplittingType(5, 3), ValueError, "need 0 < alpha <= beta, got (5, 3)"),
     (lambda: SplittingType(0, 3), ValueError, "need 0 < alpha <= beta, got (0, 3)"),
     (lambda: SplittingType(0.5, 3), TypeError, "not an exact rational: 0.5"),
